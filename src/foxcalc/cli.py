@@ -19,7 +19,14 @@ from .invariants import (
     surfacelink_invariant,
     twisted_matrix,
 )
-from .maps import MapError, abelian_map, conjugacy_classes, enumerate_homs, lemma36_rho
+from .maps import (
+    MapError,
+    abelian_map,
+    conjugacy_classes,
+    enumerate_homs,
+    is_prime,
+    lemma36_rho,
+)
 from .presentations import ParseError
 from .rings import RingError
 from . import verify
@@ -59,11 +66,13 @@ def parse_alpha_spec(spec_text, pres):
         raise CliError(str(exc), 1)
 
 
-def parse_ring_spec(text):
-    """`pZ:k1,k2,...` -> (p, orders); default single infinite variable."""
-    if text is None:
-        return 0
-    raise CliError("--ring is reserved for future multi-variable targets", 2)
+def prime(text):
+    """argparse type of a --p that must be prime; argparse names it in its
+    message for text that is not an integer."""
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
 
 
 def _load(source):
@@ -183,12 +192,12 @@ def build_parser():
 
     p = sub.add_parser("reps", help="count homomorphisms to SL(2;Z_p)")
     p.add_argument("source")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=prime, default=2)
     p.set_defaults(func=cmd_reps)
 
     p = sub.add_parser("table1", help="matrix-form handlebody invariant")
     p.add_argument("source")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=prime, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--json", action="store_true")
@@ -196,7 +205,7 @@ def build_parser():
 
     p = sub.add_parser("table3", help="row-form surface-link invariant")
     p.add_argument("source")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=prime, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table3)

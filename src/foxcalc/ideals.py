@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .rings import RingElement, RingSpec, RingError, normalize_sign, ring_make, term_key

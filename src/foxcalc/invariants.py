@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .fox import fox_derive
 from .ideals import ideal_from, ideal_normalize, render_ideal
-from .maps import conjugacy_classes, cyclic_map, enumerate_epis, enumerate_homs, mat_identity
+from .maps import conjugacy_classes, cyclic_map, enumerate_epis, enumerate_homs
 from .rings import RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import content_gcd, normalize_sign
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from math import gcd
-
-from .presentations import Word
+from dataclasses import dataclass, field
+from math import gcd, isqrt
 
 HOM_TARGET_CAP = 10**4
 
@@ -127,12 +126,70 @@ def mat_inv(a, p):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def is_prime(p):
+    """Whether p is prime, by trial division."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+class _IndexedGroup:
+    """SL/GL(n;Z_p) with its elements numbered in matrix_group_elements order.
+
+    A product of two elements is computed by mat_mul once, on first use, and
+    memoised by index pair.  x^e is read off the cycle of x's powers, so a
+    word costs one lookup per letter whatever its exponents.
+    """
+
+    def __init__(self, n, p, special):
+        self.p = p
+        self.elements = matrix_group_elements(n, p, special)
+        self.index = {m: i for i, m in enumerate(self.elements)}
+        self.identity = self.index[mat_identity(n)]
+        self.inverse = [self.index[mat_inv(m, p)] for m in self.elements]
+        self._products = {}
+        self._cycles = {}
+
+    def find(self, m):
+        """Index of a matrix with integer entries, or None if not in the group."""
+        return self.index.get(tuple(tuple(x % self.p for x in row) for row in m))
+
+    def mul(self, i, j):
+        k = self._products.get((i, j))
+        if k is None:
+            k = self.index[mat_mul(self.elements[i], self.elements[j], self.p)]
+            self._products[(i, j)] = k
+        return k
+
+    def power(self, i, e):
+        cycle = self._cycles.get(i)
+        if cycle is None:
+            cycle, x = [self.identity], i
+            while x != self.identity:
+                cycle.append(x)
+                x = self.mul(x, i)
+            self._cycles[i] = cycle
+        return cycle[e % len(cycle)]
+
+    def word(self, letters, images):
+        """Index of the image of a word, images[g] being generator g's index."""
+        acc = self.identity
+        for g, e in letters:
+            acc = self.mul(acc, self.power(images[g], e))
+        return acc
+
+
+@functools.cache
+def _indexed_group(n, p, special):
+    """One indexed group per target, kept for the life of the process."""
+    return _IndexedGroup(n, p, special)
+
+
 @dataclass(frozen=True)
 class MatrixRep:
     """A homomorphism to GL(n; Z_p) given by per-generator matrices.
 
     Construction checks invertibility (det = 1 when special=True) and that
-    every relator maps to the identity.
+    every relator maps to the identity.  p must be prime and the target
+    group small enough to enumerate (see matrix_group_elements).
     """
 
     presentation: object
@@ -140,31 +197,32 @@ class MatrixRep:
     n: int
     images: tuple
     special: bool = True
+    _indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.presentation.s:
             raise MapError("one image matrix per generator required")
+        group = _indexed_group(self.n, self.p, self.special)
+        indices = []
         for m in self.images:
-            d = mat_det(m, self.p)
-            if d == 0:
-                raise MapError("generator image not invertible")
-            if self.special and d != 1 % self.p:
-                raise MapError("generator image not in SL")
-        ident = mat_identity(self.n)
+            i = group.find(m)
+            if i is None:
+                if mat_det(m, self.p) == 0:
+                    raise MapError("generator image not invertible")
+                kind = "SL" if self.special else "GL"
+                raise MapError(f"generator image not in {kind}({self.n};Z_{self.p})")
+            indices.append(i)
+        object.__setattr__(self, "_indices", tuple(indices))
         for rel in self.presentation.relators:
-            if self.word_image(rel) != ident:
+            if group.word(rel.letters, self._indices) != group.identity:
                 raise MapError(
                     f"relator {rel.render(self.presentation.generators)!r} "
                     "not sent to the identity"
                 )
 
     def word_image(self, w):
-        out = mat_identity(self.n)
-        for g, e in w.letters:
-            m = self.images[g] if e > 0 else mat_inv(self.images[g], self.p)
-            for _ in range(abs(e)):
-                out = mat_mul(out, m, self.p)
-        return out
+        group = _indexed_group(self.n, self.p, self.special)
+        return group.elements[group.word(w.letters, self._indices)]
 
     def conjugate(self, b):
         binv = mat_inv(b, self.p)
@@ -179,6 +237,8 @@ class MatrixRep:
 
 def matrix_group_elements(n, p, special=True):
     """All of SL(n;Z_p) (or GL), ordered by row-major entry tuples."""
+    if not is_prime(p):
+        raise MapError(f"modulus {p} is not prime")
     if p ** (n * n) > HOM_TARGET_CAP * 10:
         raise MapError("target matrix space over cap")
     out = []
@@ -215,53 +275,37 @@ def enumerate_epis(pres, k):
     return out
 
 
-def enumerate_homs(pres, n=2, p=2, special=True, elements=None):
+def enumerate_homs(pres, n=2, p=2, special=True):
     """All homomorphisms into SL/GL(n;Z_p), trivial and non-surjective included.
 
     Backtracks over generator images, checking each relator as soon as all
     generators it mentions are assigned.
     """
-    if elements is None:
-        elements = matrix_group_elements(n, p, special)
+    group = _indexed_group(n, p, special)
     s = pres.s
-    supports = [
-        (set(g for g, _ in rel.letters), rel) for rel in pres.relators
-    ]
-    ident = mat_identity(n)
-    inverses = {m: mat_inv(m, p) for m in elements}
+    checks = [[] for _ in range(s)]  # relators by their last generator
+    for rel in pres.relators:
+        if rel.letters:
+            checks[max(g for g, _ in rel.letters)].append(rel.letters)
+    images = [group.identity] * s
     out = []
 
-    def relator_ok(rel, images):
-        acc = ident
-        for g, e in rel.letters:
-            m = images[g] if e > 0 else inverses[images[g]]
-            for _ in range(abs(e)):
-                acc = mat_mul(acc, m, p)
-        return acc == ident
-
-    def extend(images):
-        i = len(images)
+    def extend(i):
         if i == s:
             out.append(
-                MatrixRep(pres, p, n, tuple(images), special)
+                MatrixRep(pres, p, n, tuple(group.elements[x] for x in images), special)
             )
             return
-        for m in elements:
-            images.append(m)
-            assigned = set(range(i + 1))
-            if all(
-                relator_ok(rel, images)
-                for support, rel in supports
-                if support <= assigned and (i in support or not support)
-            ):
-                extend(images)
-            images.pop()
+        for x in range(len(group.elements)):
+            images[i] = x
+            if all(group.word(letters, images) == group.identity for letters in checks[i]):
+                extend(i + 1)
 
-    extend([])
+    extend(0)
     return out
 
 
-def conjugacy_classes(homs, elements=None):
+def conjugacy_classes(homs):
     """Orbits of homs under simultaneous conjugation by the target group.
 
     Returns (representative, class size) pairs; the representative is the
@@ -269,19 +313,18 @@ def conjugacy_classes(homs, elements=None):
     """
     if not homs:
         return []
-    p, n, special = homs[0].p, homs[0].n, homs[0].special
-    if elements is None:
-        elements = matrix_group_elements(n, p, special)
-    index = {h.images: i for i, h in enumerate(homs)}
+    group = _indexed_group(homs[0].n, homs[0].p, homs[0].special)
+    mul, inverse = group.mul, group.inverse
+    position = {h._indices: i for i, h in enumerate(homs)}
     seen = set()
     classes = []
     for i, h in enumerate(homs):
         if i in seen:
             continue
-        orbit = set()
-        for b in elements:
-            conj = h.conjugate(b)
-            orbit.add(index[conj.images])
+        orbit = {
+            position[tuple(mul(mul(b, m), inverse[b]) for m in h._indices)]
+            for b in range(len(group.elements))
+        }
         seen |= orbit
         classes.append((homs[min(orbit)], len(orbit)))
     return classes

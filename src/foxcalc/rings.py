@@ -340,7 +340,6 @@ def reduce_matrix(m):
 
 
 def _to_sympy(elem, symbols):
-    lows = elem.min_exps()
     shifted = elem.shift_to_origin()
     expr = sympy.Integer(0)
     for exps, c in shifted.terms.items():

@@ -177,3 +177,12 @@ def test_cli_bad_alpha_exit_1(capsys):
     # alpha that does not kill the relator: computation error
     assert main(["ideal", "< x | x^2 >", "--alpha", "x=t@t^inf"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["reps", "table1", "table3"])
+@pytest.mark.parametrize("p", ["0", "1", "4", "6", "-3"])
+def test_cli_non_prime_p_exit_2(command, p, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "yoshikawa:8_1", f"--p={p}"])
+    assert exc.value.code == 2
+    assert f"{p} is not prime" in capsys.readouterr().err

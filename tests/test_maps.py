@@ -1,6 +1,11 @@
 """Abelianizations, SL(2;Z_p) representations, and their enumeration."""
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foxcalc.maps import (
     MapError,
@@ -16,7 +21,7 @@ from foxcalc.maps import (
     mat_mul,
     matrix_group_elements,
 )
-from foxcalc.presentations import parse_presentation
+from foxcalc.presentations import Presentation, Word, parse_presentation
 
 
 def burnside_class_count(elements, p, s):
@@ -44,15 +49,114 @@ def test_sl2z2_has_six_elements():
 
 
 def test_free_group_hom_counts_match_burnside():
-    els = matrix_group_elements(2, 2)
-    for s in (1, 2, 3):
+    for p, s in itertools.product((2, 3), (1, 2, 3)):
+        els = matrix_group_elements(2, p)
         names = ", ".join(f"g{i}" for i in range(s))
         pres = parse_presentation(f"< {names} | >")
-        homs = enumerate_homs(pres, n=2, p=2)
-        assert len(homs) == 6**s
+        homs = enumerate_homs(pres, n=2, p=p)
+        assert len(homs) == len(els) ** s
         classes = conjugacy_classes(homs)
-        assert len(classes) == burnside_class_count(els, 2, s)
+        assert len(classes) == burnside_class_count(els, p, s)
         assert sum(size for _, size in classes) == len(homs)
+
+
+def test_matrix_group_elements_rejects_non_prime_moduli():
+    for p in (0, 1, 4, 6, 9, -3):
+        with pytest.raises(MapError):
+            matrix_group_elements(2, p)
+    with pytest.raises(MapError):
+        enumerate_homs(parse_presentation("< x | x^2 >"), n=2, p=4)
+
+
+def test_huge_exponents_reduce_by_element_order():
+    # 100001 is prime to 12, the exponent of SL(2;Z_3), so x^100001 = y^100001
+    # forces x = y: one hom per element.
+    pres = parse_presentation("< x, y | x^100001 y^-100001 >")
+    homs = enumerate_homs(pres, n=2, p=3)
+    assert len(homs) == 24
+    assert all(h.images[0] == h.images[1] for h in homs)
+
+
+# ---------------------------------------------------------------------------
+# Indexed group against plain matrix arithmetic.
+
+
+@functools.cache
+def ref_power(m, e, p):
+    """m^e by repeated squaring with mat_mul."""
+    if e < 0:
+        return ref_power(mat_inv(m, p), -e, p)
+    out, base = mat_identity(len(m)), m
+    while e:
+        if e & 1:
+            out = mat_mul(out, base, p)
+        base = mat_mul(base, base, p)
+        e >>= 1
+    return out
+
+
+def ref_word_image(images, word, p):
+    out = mat_identity(len(images[0]))
+    for g, e in word.letters:
+        out = mat_mul(out, ref_power(images[g], e, p), p)
+    return out
+
+
+def ref_homs(pres, elements, p):
+    ident = mat_identity(2)
+    return [
+        images
+        for images in itertools.product(elements, repeat=pres.s)
+        if all(ref_word_image(images, rel, p) == ident for rel in pres.relators)
+    ]
+
+
+def ref_classes(homs, elements, p):
+    """(representative, size) by conjugating each unseen hom's matrices."""
+    position = {h: i for i, h in enumerate(homs)}
+    seen, out = set(), []
+    for i, h in enumerate(homs):
+        if i in seen:
+            continue
+        orbit = {
+            position[tuple(mat_mul(mat_mul(b, m, p), mat_inv(b, p), p) for m in h)]
+            for b in elements
+        }
+        seen |= orbit
+        out.append((homs[min(orbit)], len(orbit)))
+    return out
+
+
+exponents = st.one_of(
+    st.integers(-4, 4), st.integers(-(10**6), 10**6)
+).filter(bool)
+
+
+@st.composite
+def presentations_and_words(draw):
+    s = draw(st.integers(1, 2))
+    letter = st.tuples(st.integers(0, s - 1), exponents)
+    words = st.lists(letter, min_size=1, max_size=3).map(lambda ls: Word(tuple(ls)))
+    relators = draw(st.lists(words, min_size=1, max_size=2))
+    return Presentation(("x", "y")[:s], tuple(relators)), draw(words)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    target=st.sampled_from([(2, True), (3, True), (3, False)]),
+    case=presentations_and_words(),
+)
+def test_indexed_group_matches_matrix_arithmetic(target, case):
+    p, special = target
+    pres, word = case
+    elements = matrix_group_elements(2, p, special)
+    homs = enumerate_homs(pres, n=2, p=p, special=special)
+    want = ref_homs(pres, elements, p)
+    assert [h.images for h in homs] == want
+    classes = conjugacy_classes(homs)
+    assert [(r.images, size) for r, size in classes] == ref_classes(want, elements, p)
+    for h in homs:
+        assert h.word_image(word) == ref_word_image(h.images, word, p)
 
 
 def test_involution_group_homs():
@@ -115,6 +219,14 @@ def test_matrix_rep_validates_relators():
     pres3 = parse_presentation("< x | x^3 >")
     with pytest.raises(MapError):
         MatrixRep(pres3, 2, 2, (swap,))
+    with pytest.raises(MapError, match="not invertible"):
+        MatrixRep(pres, 2, 2, (((1, 1), (1, 1)),))
+    with pytest.raises(MapError, match="not in SL"):
+        MatrixRep(pres, 3, 2, (((2, 0), (0, 1)),))
+    MatrixRep(pres, 3, 2, (((2, 0), (0, 1)),), special=False)
+    MatrixRep(pres, 3, 2, (((-1, 3), (0, 5)),))  # entries reduced mod p
+    with pytest.raises(MapError, match="not invertible"):
+        MatrixRep(pres, 2, 2, (swap,)).conjugate(((1, 1), (1, 1)))
 
 
 def test_conjugate_is_still_a_representation():
