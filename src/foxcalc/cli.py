@@ -24,11 +24,10 @@ from .maps import (
     abelian_map,
     conjugacy_classes,
     enumerate_homs,
-    is_prime,
     lemma36_rho,
 )
 from .presentations import ParseError
-from .rings import RingError
+from .rings import RingError, is_prime
 from . import verify
 
 
@@ -46,16 +45,18 @@ def parse_alpha_spec(spec_text, pres):
     if not target.startswith("t^"):
         raise CliError("alpha target must be 't^k' or 't^inf'", 2)
     ordtext = target[2:]
-    order = 0 if ordtext == "inf" else int(ordtext)
+    order = 0 if ordtext == "inf" else _integer(ordtext, "alpha target order")
+    if order < 0:
+        raise CliError(f"alpha target order must be >= 0, got {order}", 2)
     exps = {}
     for piece in imgpart.split(","):
         piece = piece.strip()
         if not piece:
             continue
         name, _, val = piece.partition("=")
-        if not val.startswith("t"):
+        if val != "t" and not val.startswith("t^"):
             raise CliError(f"bad image {piece!r}", 2)
-        exps[name.strip()] = int(val[2:]) if val.startswith("t^") else 1
+        exps[name.strip()] = _integer(val[2:], "alpha exponent") if val != "t" else 1
     try:
         images = tuple((exps[name],) for name in pres.generators)
     except KeyError as exc:
@@ -64,6 +65,13 @@ def parse_alpha_spec(spec_text, pres):
         return abelian_map(pres, images, (("t", order),))
     except MapError as exc:
         raise CliError(str(exc), 1)
+
+
+def _integer(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"bad {what} {text!r}", 2)
 
 
 def prime(text):
@@ -136,6 +144,8 @@ def cmd_table1(args):
 
 
 def cmd_table3(args):
+    if args.k == 1 or args.k < 0:
+        raise CliError(f"--k must be 0 (infinite) or at least 2, got {args.k}", 2)
     pres = _load(args.source)
     table = surfacelink_invariant(pres, p=args.p, k=args.k)
     _emit_table(table, args.json)

@@ -57,27 +57,6 @@ class GroupRingElement:
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
-    def render(self, names):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            token = w.render(names) if not w.is_identity else "e"
-            if c == 1:
-                piece = token
-            elif c == -1:
-                piece = f"-{token}"
-            else:
-                piece = f"{c}*{token}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
-
 
 ZERO = GroupRingElement({})
 ONE = GroupRingElement({IDENTITY: 1})

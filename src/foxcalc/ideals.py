@@ -26,6 +26,7 @@ from .rings import RingElement, RingSpec, RingError, normalize_sign, ring_make, 
 
 FINITE_SIZE_CAP = 2**16
 DISPLAY_SIZE_CAP = 2**12
+DEGREE_CAP = 10**6  # of a dense univariate polynomial, t^k - 1 included
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
 
@@ -312,6 +313,11 @@ def _regime(spec):
     return "other"
 
 
+def _check_degree(d):
+    if d > DEGREE_CAP:
+        raise RingError(f"polynomial degree {d} over DEGREE_CAP = {DEGREE_CAP}")
+
+
 def _to_zpoly(elem):
     """Univariate ring element -> dense Z[t] polynomial, Laurent-shifted."""
     if elem.spec.nvars == 0:
@@ -321,6 +327,7 @@ def _to_zpoly(elem):
     if not shifted.terms:
         return ()
     degmax = max(e[0] for e in shifted.terms)
+    _check_degree(degmax)
     out = [0] * (degmax + 1)
     for (e,), c in shifted.terms.items():
         out[e] = c
@@ -331,6 +338,7 @@ def _quotient_modulus_poly(spec):
     """t^k - 1 when the single variable has finite order k, else None."""
     if spec.nvars == 1 and spec.variables[0][1] > 0:
         k = spec.variables[0][1]
+        _check_degree(k)
         return zp_trim([-1] + [0] * (k - 1) + [1])
     return None
 

@@ -7,10 +7,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .fox import fox_derive
 from .ideals import ideal_from, ideal_normalize, render_ideal
-from .maps import conjugacy_classes, cyclic_map, enumerate_epis, enumerate_homs
-from .rings import RingMatrix, RingError, ring_make, minors, reduce_matrix
+from .maps import MatrixRep, conjugacy_classes, cyclic_map, enumerate_epis, enumerate_homs
+from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import content_gcd, normalize_sign
 
 
@@ -46,44 +45,50 @@ class InvariantTable:
 
 
 def alexander_matrix(pres, alpha, modulus=0):
-    """The t x s matrix of abelianized Fox derivatives of the relators."""
-    spec = ring_make(modulus, alpha.variables)
-    rows = []
-    for rel in pres.relators:
-        row = []
-        for j in range(pres.s):
-            deriv = fox_derive(rel, j)
-            entry = spec.zero()
-            for w, c in deriv.terms.items():
-                entry = entry + spec.monomial(alpha.word_image(w), c)
-            row.append(entry)
-        rows.append(row)
-    m = RingMatrix.build(spec, rows)
-    return RingMatrix(spec, m.entries, pres.t, pres.s)
+    """The t x s matrix of abelianized Fox derivatives of the relators: the
+    twisted matrix of the trivial representation, into SL(1;Z_2) = {1}."""
+    return _fox_matrix(pres, alpha, MatrixRep(pres, 2, 1, (((1,),),) * pres.s), modulus)
 
 
 def twisted_matrix(pres, alpha, rho):
     """The nt x ns block matrix of (rho tensor alpha)-images of derivatives."""
-    n, p = rho.n, rho.p
-    spec = ring_make(p, alpha.variables)
-    nrows, ncols = n * pres.t, n * pres.s
-    rows = [[spec.zero()] * ncols for _ in range(nrows)]
-    for i, rel in enumerate(pres.relators):
-        for j in range(pres.s):
-            deriv = fox_derive(rel, j)
-            block = [[spec.zero()] * n for _ in range(n)]
-            for w, c in deriv.terms.items():
-                mono = spec.monomial(alpha.word_image(w), c)
-                mat = rho.word_image(w)
-                for a in range(n):
-                    for b in range(n):
-                        if mat[a][b]:
-                            block[a][b] = block[a][b] + mono.scale(mat[a][b])
-            for a in range(n):
-                for b in range(n):
-                    rows[n * i + a][n * j + b] = block[a][b]
-    m = RingMatrix.build(spec, rows)
-    return RingMatrix(spec, m.entries, nrows, ncols)
+    return _fox_matrix(pres, alpha, rho, rho.p)
+
+
+def _fox_matrix(pres, alpha, rho, modulus):
+    """The (rho tensor alpha)-image of the Fox Jacobian of the relators.
+
+    One walk per relator carries the prefix's exponent vector and its index
+    in rho's target group; a letter x_g^e adds the |e| terms of its Fox
+    derivative, prefix x_g^m for m = 0..e-1, or -prefix x_g^m for m = -1..e.
+    """
+    spec = ring_make(modulus, alpha.variables)
+    group, gens = rho.indexed()
+    n, rows = rho.n, []
+    for rel in pres.relators:
+        blocks = {}  # (column, a, b) -> {exponent vector: coefficient}
+        vec, x = (0,) * spec.nvars, group.identity
+        for g, e in rel.letters:
+            step = alpha.images[g]
+            sign, ms = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
+            for m in ms:
+                exps = spec.reduce_exps(tuple(v + m * d for v, d in zip(vec, step)))
+                mat = group.elements[group.mul(x, group.power(gens[g], m))]
+                for a, b in itertools.product(range(n), repeat=2):
+                    if mat[a][b]:
+                        terms = blocks.setdefault((g, a, b), {})
+                        terms[exps] = terms.get(exps, 0) + sign * mat[a][b]
+            vec = tuple(v + e * d for v, d in zip(vec, step))
+            x = group.mul(x, group.power(gens[g], e))
+        rows += [
+            tuple(
+                RingElement(spec, blocks.get((j, a, b), {}))
+                for j in range(pres.s)
+                for b in range(n)
+            )
+            for a in range(n)
+        ]
+    return RingMatrix(spec, tuple(rows), n * pres.t, n * pres.s)
 
 
 def elementary_ideal(m, d, simplify=True, normalize=True):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd
+
+from .rings import is_prime
 
 HOM_TARGET_CAP = 10**4
 
@@ -35,12 +37,13 @@ class AbelianMap:
             if len(img) != r:
                 raise MapError("image arity mismatch")
         for rel in self.presentation.relators:
-            if any(self._raw_word_image(rel)):
+            if any(self.word_image(rel)):
                 raise MapError(
                     f"relator {rel.render(self.presentation.generators)!r} not killed"
                 )
 
-    def _raw_word_image(self, w):
+    def word_image(self, w):
+        """Exponent vector of a word, reduced by the finite orders."""
         r = len(self.variables)
         vec = [0] * r
         for g, e in w.letters:
@@ -49,10 +52,6 @@ class AbelianMap:
         return tuple(
             v % k if k > 0 else v for v, (_, k) in zip(vec, self.variables)
         )
-
-    def word_image(self, w):
-        """Exponent vector of a word, reduced by the finite orders."""
-        return self._raw_word_image(w)
 
 
 def abelian_map(pres, images, variables):
@@ -124,11 +123,6 @@ def mat_inv(a, p):
                 f = aug[r][col]
                 aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def is_prime(p):
-    """Whether p is prime, by trial division."""
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 class _IndexedGroup:
@@ -220,9 +214,13 @@ class MatrixRep:
                     "not sent to the identity"
                 )
 
+    def indexed(self):
+        """The indexed target group, and each generator's index in it."""
+        return _indexed_group(self.n, self.p, self.special), self._indices
+
     def word_image(self, w):
-        group = _indexed_group(self.n, self.p, self.special)
-        return group.elements[group.word(w.letters, self._indices)]
+        group, indices = self.indexed()
+        return group.elements[group.word(w.letters, indices)]
 
     def conjugate(self, b):
         binv = mat_inv(b, self.p)

@@ -17,13 +17,33 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-import sympy
-
 DET_CAP = 10
 
 
 class RingError(ValueError):
     pass
+
+
+def is_prime(p):
+    """Whether p is prime, by Miller-Rabin to the first twelve prime bases:
+    exact below 3.18 * 10^23, a strong probable-prime test above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -34,7 +54,7 @@ class RingSpec:
     variables: tuple  # of (name, order)
 
     def __post_init__(self):
-        if self.modulus < 0 or (self.modulus > 1 and not sympy.isprime(self.modulus)):
+        if self.modulus < 0 or (self.modulus > 1 and not is_prime(self.modulus)):
             raise RingError(f"modulus must be 0 or prime, got {self.modulus}")
         names = [n for n, _ in self.variables]
         if len(set(names)) != len(names):
@@ -135,9 +155,6 @@ class RingElement:
                 e = self.spec.reduce_exps(e)
                 terms[e] = terms.get(e, 0) + c1 * c2
         return RingElement(self.spec, terms)
-
-    def scale(self, c):
-        return RingElement(self.spec, {e: c * v for e, v in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -277,10 +294,6 @@ def det(spec, rows, cap=DET_CAP):
     return rec(0, tuple(range(n)))
 
 
-def matrix_det(m, cap=DET_CAP):
-    return det(m.spec, m.entries, cap=cap)
-
-
 def minors(m, q, cap=DET_CAP):
     """All q x q minors drawn from the declared rows and columns.
 
@@ -326,7 +339,8 @@ def reduce_matrix(m):
             if i2 != i and not rows[i2][j].is_zero():
                 factor = rows[i2][j] * inv
                 rows[i2] = [
-                    a - factor * b for a, b in zip(rows[i2], rows[i])
+                    a if b.is_zero() else a - factor * b
+                    for a, b in zip(rows[i2], rows[i])
                 ]
         del rows[i]
         for row in rows:
@@ -340,6 +354,7 @@ def reduce_matrix(m):
 
 
 def _to_sympy(elem, symbols):
+    import sympy
     shifted = elem.shift_to_origin()
     expr = sympy.Integer(0)
     for exps, c in shifted.terms.items():
@@ -351,6 +366,7 @@ def _to_sympy(elem, symbols):
 
 
 def _from_sympy(spec, expr, symbols):
+    import sympy
     poly = sympy.Poly(expr, *symbols) if symbols else None
     terms = {}
     if symbols:
@@ -374,6 +390,7 @@ def poly_gcd(a, b):
         raise RingError("gcd needs all variable orders 0")
     if a.is_zero() and b.is_zero():
         return spec.zero()
+    import sympy
     symbols = sympy.symbols([n for n, _ in spec.variables]) if spec.nvars else []
     if spec.nvars == 1:
         symbols = [symbols[0]]

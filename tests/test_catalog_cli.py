@@ -1,6 +1,10 @@
 """Catalog lookups, the presentation file format, and the command line."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foxcalc.catalog import (
     YOSHIKAWA_KEYS,
@@ -167,10 +171,38 @@ def test_cli_verify(capsys):
     capsys.readouterr()
 
 
+BAD_INPUTS = [
+    ["ideal", "yoshikawa:3_1", "--alpha", "x=t@t^2"],
+    ["ideal", "< x | >", "--alpha", "x=t"],  # missing target
+    ["ideal", "< x | >", "--alpha", "x=t^a@t^inf"],
+    ["ideal", "< x | >", "--alpha", "x=t@t^zz"],
+    ["ideal", "< x | >", "--alpha", "x=t@t^"],
+    ["ideal", "< x | >", "--alpha", "x=t@t^-3"],
+    ["ideal", "< x | >", "--alpha", "x=tzz@t^2"],
+    ["table3", "yoshikawa:0_1", "--k", "1"],  # trivial target
+    ["table3", "yoshikawa:0_1", "--k", "-2"],
+]
+
+
 def test_cli_parse_errors_exit_2(capsys):
-    assert main(["ideal", "yoshikawa:3_1", "--alpha", "x=t@t^2"]) == 2
-    assert main(["ideal", "< x | >", "--alpha", "x=t"]) == 2  # missing target
-    capsys.readouterr()
+    for argv in BAD_INPUTS:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="xyt^@=,-+ 0123456789inf", max_size=24))
+def test_cli_alpha_fuzz(text):
+    # any --alpha string ends in an exit code, never in an uncaught exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(["ideal", "< x | x^2 >", f"--alpha={text}", "--all-d"])
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3)
+    assert rc == 0 or err.getvalue(), rc
 
 
 def test_cli_bad_alpha_exit_1(capsys):

@@ -2,12 +2,16 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from foxcalc.catalog import (
     theta_alpha,
     theta_presentation,
     theta_wirtinger_alpha,
     theta_wirtinger_presentation,
 )
+from foxcalc.fox import fox_derive
 from foxcalc.ideals import ideal_contains, ideal_equals, ideal_normalize
 from foxcalc.invariants import (
     alexander_matrix,
@@ -17,9 +21,15 @@ from foxcalc.invariants import (
     surfacelink_invariant,
     twisted_matrix,
 )
-from foxcalc.maps import MatrixRep, cyclic_map, lemma36_rho, matrix_group_elements
-from foxcalc.presentations import parse_presentation
-from foxcalc.rings import RingMatrix, ring_make
+from foxcalc.maps import (
+    MatrixRep,
+    abelian_map,
+    cyclic_map,
+    lemma36_rho,
+    matrix_group_elements,
+)
+from foxcalc.presentations import Presentation, Word, parse_presentation
+from foxcalc.rings import RingElement, RingMatrix, ring_make
 
 ZT = ring_make(0, (("t", 0),))
 
@@ -199,3 +209,70 @@ def test_table_json_mirror():
     table = surfacelink_invariant(pres)
     js = table.to_json()
     assert js["rows"] == [{"entries": ["0", "1"], "multiplicity": 3}]
+
+
+def fox_reference(pres, alpha, rho, modulus):
+    """Rows of the (rho tensor alpha)-image of the Fox Jacobian, mapping each
+    term of fox_derive by the word_image methods; rho None is the trivial
+    1x1 representation."""
+    n = rho.n if rho else 1
+    spec = ring_make(modulus, alpha.variables)
+    rows = []
+    for rel in pres.relators:
+        blocks = []
+        for j in range(pres.s):
+            images = [
+                (alpha.word_image(w), rho.word_image(w) if rho else ((1,),), c)
+                for w, c in fox_derive(rel, j).terms.items()
+            ]
+            block = [[{} for _ in range(n)] for _ in range(n)]
+            for exps, mat, c in images:
+                for a in range(n):
+                    for b in range(n):
+                        terms = block[a][b]
+                        terms[exps] = terms.get(exps, 0) + c * mat[a][b]
+            blocks.append(block)
+        for a in range(n):
+            rows.append(
+                [RingElement(spec, block[a][b]) for block in blocks for b in range(n)]
+            )
+    return rows
+
+
+@st.composite
+def fox_cases(draw):
+    """Maps defined on the free group, so any words may serve as relators."""
+    s = draw(st.integers(1, 2))
+    names = ("x", "y")[:s]
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 5]), min_size=1, max_size=2))
+    variables = tuple(zip(("t", "u"), orders))
+    exps = st.tuples(*[st.integers(-3, 3)] * len(variables))
+    alpha = abelian_map(
+        Presentation(names, ()),
+        draw(st.lists(exps, min_size=s, max_size=s)),
+        variables,
+    )
+    letter = st.tuples(st.integers(0, s - 1), st.integers(-1000, 1000).filter(bool))
+    words = st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=2)
+    pres = Presentation(names, tuple(Word(tuple(w)) for w in draw(words)))
+    target = draw(st.sampled_from([None, (2, True), (3, True), (3, False)]))
+    if target is None:
+        return pres, alpha, None, draw(st.sampled_from([0, 2, 3]))
+    p, special = target
+    elements = matrix_group_elements(2, p, special)
+    images = draw(st.lists(st.sampled_from(elements), min_size=s, max_size=s))
+    rho = MatrixRep(Presentation(names, ()), p, 2, tuple(images), special)
+    return pres, alpha, rho, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(fox_cases())
+def test_fox_matrix_matches_fox_derive_reference(case):
+    pres, alpha, rho, modulus = case
+    if rho is None:
+        m = alexander_matrix(pres, alpha, modulus)
+    else:
+        m = twisted_matrix(pres, alpha, rho)
+    n = rho.n if rho else 1
+    assert (m.declared_rows, m.declared_cols) == (n * pres.t, n * pres.s)
+    assert [list(row) for row in m.entries] == fox_reference(pres, alpha, rho, modulus)

@@ -1,16 +1,21 @@
 """Laurent quotient rings, determinants, minors, and matrix reduction."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foxcalc
 from foxcalc.rings import (
     RingError,
     RingMatrix,
     content_gcd,
     det,
-    matrix_det,
+    is_prime,
     minors,
     normalize_sign,
     poly_gcd,
@@ -162,3 +167,26 @@ def test_normalize_sign():
     assert normalize_sign(one - t) == -one + t  # graded-lex leading coeff > 0
     assert normalize_sign(-one + t) == -one + t
     assert normalize_sign(one + t) == one + t
+
+
+def test_is_prime_matches_sympy():
+    import sympy
+
+    # strong pseudoprimes to the first 4 to 9 prime bases, Mersenne primes,
+    # a semiprime of two of them and primes near 10^18
+    big = [3215031751, 2152302898747, 3474749660383, 341550071728321,
+           3825123056546413051, 2**61 - 1, 2**89 - 1, (2**31 - 1) * (2**61 - 1),
+           10**18 + 3, 10**18 + 9]
+    for p in list(range(-5, 20000)) + big:
+        assert is_prime(p) == sympy.isprime(p), p
+
+
+def test_import_leaves_sympy_unloaded():
+    src = str(Path(foxcalc.__file__).resolve().parent.parent)
+    code = "import sys, foxcalc; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
