@@ -54,9 +54,14 @@ def parse_alpha_spec(spec_text, pres):
         if not piece:
             continue
         name, _, val = piece.partition("=")
+        name = name.strip()
         if val != "t" and not val.startswith("t^"):
             raise CliError(f"bad image {piece!r}", 2)
-        exps[name.strip()] = _integer(val[2:], "alpha exponent") if val != "t" else 1
+        if name not in pres.generators:
+            raise CliError(f"alpha spec names {name!r}, not a generator", 2)
+        if name in exps:
+            raise CliError(f"alpha spec gives {name!r} twice", 2)
+        exps[name] = _integer(val[2:], "alpha exponent") if val != "t" else 1
     try:
         images = tuple((exps[name],) for name in pres.generators)
     except KeyError as exc:

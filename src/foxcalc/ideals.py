@@ -8,16 +8,22 @@ Normalization dispatches on the ring spec:
   (b) univariate over a prime field with infinite order: principal, by the
       Euclidean algorithm.
   (c) univariate over Z with infinite order (Laurent generators are shifted
-      to polynomials) or a single finite-order variable (t^k - 1 adjoined):
-      a strong Groebner basis over Z[t] built from S-polynomials and
-      gcd-polynomials, giving exact membership and equality.
+      to polynomials, and the ideal they generate in Z[t] is saturated by
+      t, so that it is the unique preimage of the Laurent ideal) or a single
+      finite-order variable (t^k - 1 adjoined): the reduced strong Groebner
+      basis over Z[t], built from S-polynomials and gcd-polynomials, giving
+      exact membership.
   (d) anything else: generators only; equality falls back to probing in
       finite quotients and is three-valued.
+
+The normal forms of (a)-(c) are unique, so equality there is decided by
+comparing them.  An ideal in UNIT form carries no normal-form data.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -152,56 +158,64 @@ def zp_top_reduces_to_zero(f, basis):
     return True
 
 
-def strong_groebner(gens):
-    """Strong Groebner basis of an ideal of Z[t] (univariate).
+def _lead_divides(f, g):
+    """True if f's leading term divides g's: deg f <= deg g and lc f | lc g."""
+    return zp_deg(f) <= zp_deg(g) and zp_lc(g) % zp_lc(f) == 0
 
-    Processes S-polynomials (lcm of leading coefficients) and G-polynomials
-    (Bezout combination achieving the gcd of leading coefficients), reducing
-    each fully; terminates because leading terms strictly improve.
+
+def _pair_polys(f, g):
+    """The S-polynomial (lcm of leading coefficients) and the G-polynomial
+    (Bezout combination reaching their gcd) of f and g."""
+    df, dg = zp_deg(f), zp_deg(g)
+    a, b = zp_lc(f), zp_lc(g)
+    d = max(df, dg)
+    l = a * b // gcd(a, b)
+    spoly = zp_add(
+        zp_scale_shift(f, l // a, d - df),
+        zp_neg(zp_scale_shift(g, l // b, d - dg)),
+    )
+    _, u, v = _ext_gcd(a, b)
+    gpoly = zp_add(zp_scale_shift(f, u, d - df), zp_scale_shift(g, v, d - dg))
+    return spoly, gpoly
+
+
+def strong_groebner(gens):
+    """Reduced strong Groebner basis of an ideal of Z[t] (univariate).
+
+    Incremental: the queue is worked smallest leading term first, which
+    keeps coefficients small.  Each polynomial taken from it is fully
+    reduced by the current basis and dropped if it reduces to zero.  A
+    remainder r, whose leading term no basis element's divides, sends back
+    to the queue every basis element whose leading term r's divides, so the
+    basis stays minimal, and queues its S- and G-polynomials with each
+    element that stays.  Terminates because leading terms strictly improve.
     """
-    basis = [zp_trim(g) for g in gens if zp_trim(g)]
-    basis = [g if zp_lc(g) > 0 else zp_neg(g) for g in basis]
-    pairs = list(itertools.combinations(range(len(basis)), 2))
-    while pairs:
-        i, j = pairs.pop()
-        f, g = basis[i], basis[j]
-        df, dg = zp_deg(f), zp_deg(g)
-        a, b = zp_lc(f), zp_lc(g)
-        d = max(df, dg)
-        l = a * b // gcd(a, b)
-        spoly = zp_add(
-            zp_scale_shift(f, l // a, d - df),
-            zp_neg(zp_scale_shift(g, l // b, d - dg)),
-        )
-        h, u, v = _ext_gcd(a, b)
-        gpoly = zp_add(zp_scale_shift(f, u, d - df), zp_scale_shift(g, v, d - dg))
-        for cand in (spoly, gpoly):
-            cand = zp_reduce(cand, basis)
-            if cand:
-                if zp_lc(cand) < 0:
-                    cand = zp_neg(cand)
-                for k in range(len(basis)):
-                    pairs.append((k, len(basis)))
-                basis.append(cand)
-    # minimalize: drop elements whose leading term an earlier-kept one divides
-    keep = []
-    for g in sorted(basis, key=lambda g: (zp_deg(g), zp_lc(g), g)):
-        if any(
-            zp_deg(h) <= zp_deg(g) and zp_lc(g) % zp_lc(h) == 0 for h in keep
-        ):
+    basis, queue = [], []
+
+    def push(f):
+        if f:
+            heapq.heappush(queue, (zp_deg(f), abs(zp_lc(f)), f))
+
+    for g in gens:
+        push(zp_trim(g))
+    while queue:
+        r = zp_reduce(heapq.heappop(queue)[2], basis)
+        if not r:
             continue
-        keep.append(g)
-    # fully interreduce for a canonical presentation
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = zp_reduce(g, others) if others else g
-        if r:
-            if zp_lc(r) < 0:
-                r = zp_neg(r)
-            reduced.append(r)
-    reduced.sort(key=lambda g: (zp_deg(g), g))
-    return tuple(reduced)
+        if zp_lc(r) < 0:
+            r = zp_neg(r)
+        for g in basis:
+            if _lead_divides(r, g):
+                push(g)
+        basis = [g for g in basis if not _lead_divides(r, g)]
+        for g in basis:
+            for f in _pair_polys(r, g):
+                push(f)
+        basis.append(r)
+    # fully interreduce for a canonical presentation; in a minimal strong
+    # basis no element's leading term reduces, so each stays positive
+    reduced = [zp_reduce(g, basis[:i] + basis[i + 1 :]) for i, g in enumerate(basis)]
+    return tuple(sorted(reduced, key=lambda g: (zp_deg(g), g)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +363,56 @@ def _zpoly_to_elem(spec, poly):
     return RingElement(spec, {(d,): c for d, c in enumerate(poly) if c})
 
 
+def _colon_t(basis):
+    """Generators of (J : t) modulo J, for J with the given basis in Z[t].
+
+    t*f = sum h_i g_i forces sum h_i(0) g_i(0) = 0, so J : t is J plus
+    (sum l_i g_i)/t over the integer syzygies l of the constant terms g_i(0).
+    One syzygy per element, against a running Bezout combination acc with
+    acc(0) = a = gcd of the constant terms so far, spans them all.
+    """
+    out, acc, a = [], (), 0
+    for g in basis:
+        h, u, w = _ext_gcd(a, g[0])
+        if h == 0:  # g(0) = 0 and no constant term so far
+            out.append(g)
+            continue
+        out.append(
+            zp_add(zp_scale_shift(acc, g[0] // h, 0), zp_scale_shift(g, -(a // h), 0))
+        )
+        acc, a = zp_add(zp_scale_shift(acc, u, 0), zp_scale_shift(g, w, 0)), h
+    return [q[1:] for q in out if q]
+
+
+def _saturate(gb):
+    """Strong basis of J : t^inf from a strong basis of J in Z[t]: the
+    canonical preimage of the Laurent ideal that J generates."""
+    while True:
+        new = [q for q in _colon_t(gb) if not zp_top_reduces_to_zero(q, gb)]
+        if not new:
+            return gb
+        gb = strong_groebner(gb + tuple(new))
+
+
 def ideal_normalize(ideal):
-    """Populate the normal form; idempotent."""
-    if ideal.normal_form not in (NormalForm.GENERATORS_ONLY, NormalForm.UNIT):
-        if ideal.normal_form is NormalForm.ZERO or ideal.data:
-            return ideal
+    """Populate the normal form; idempotent.  A UNIT ideal carries no data,
+    so it is returned as it is."""
+    if ideal.normal_form in (NormalForm.ZERO, NormalForm.UNIT) or ideal.data:
+        return ideal
     spec = ideal.spec
     regime = _regime(spec)
     gens = ideal.generators
     if not gens:
         return Ideal(spec, (), NormalForm.ZERO)
     if regime == "finite":
-        if spec.size() > FINITE_SIZE_CAP:
-            raise RingError("finite ring over the size cap")
+        # p^k needs k bits: compare the monomial count first
+        if spec.monomial_count() > FINITE_SIZE_CAP or spec.size() > FINITE_SIZE_CAP:
+            raise RingError(f"finite ring over FINITE_SIZE_CAP = {FINITE_SIZE_CAP}")
         (basis, pivots), monomials, _ = finite_ideal_span(spec, gens)
         one_vec = [0] * len(monomials)
         one_vec[monomials.index((0,) * spec.nvars)] = 1
         if _in_span(one_vec, basis, pivots, spec.modulus):
-            return Ideal(spec, gens, NormalForm.UNIT, (basis, pivots))
+            return Ideal(spec, gens, NormalForm.UNIT)
         if not basis:
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.FINITE_SET, (basis, pivots))
@@ -379,7 +425,7 @@ def ideal_normalize(ideal):
             return Ideal(spec, (), NormalForm.ZERO)
         gen_elem = _zpoly_to_elem(spec, g)
         if gen_elem.is_unit_monomial() or zp_deg(g) == 0:
-            return Ideal(spec, gens, NormalForm.UNIT, (gen_elem,))
+            return Ideal(spec, gens, NormalForm.UNIT)
         return Ideal(spec, gens, NormalForm.PRINCIPAL, (gen_elem,))
     if regime == "z_univariate":
         polys = [_to_zpoly(g) for g in gens]
@@ -387,13 +433,13 @@ def ideal_normalize(ideal):
         if quot:
             polys.append(quot)
         gb = strong_groebner(polys)
+        if spec.nvars == 1 and not quot:
+            gb = _saturate(gb)
         if gb == ((1,),):
-            return Ideal(spec, gens, NormalForm.UNIT, (gb,))
+            return Ideal(spec, gens, NormalForm.UNIT)
         if not gb:
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.GB, (gb,))
-    if ideal.normal_form is NormalForm.UNIT:
-        return ideal
     return Ideal(spec, gens, NormalForm.GENERATORS_ONLY)
 
 
@@ -460,17 +506,17 @@ def ideal_contains(ideal, elem):
 
 
 def ideal_compare(a, b):
-    """Three-valued equality; exact in regimes (a)-(c), probed otherwise."""
+    """Three-valued equality; exact in regimes (a)-(c), probed otherwise.
+
+    In regimes (a)-(c) the normal form is unique (RREF span, monic gcd,
+    reduced strong basis of the saturated ideal), so equal ideals have
+    equal (normal_form, data).
+    """
     if a.spec != b.spec:
         raise RingError("spec mismatch")
     a, b = ideal_normalize(a), ideal_normalize(b)
     if _regime(a.spec) != "other":
-        if a.normal_form is NormalForm.ZERO or b.normal_form is NormalForm.ZERO:
-            eq = a.normal_form == b.normal_form
-        else:
-            eq = all(ideal_contains(b, g) for g in a.generators) and all(
-                ideal_contains(a, g) for g in b.generators
-            )
+        eq = (a.normal_form, a.data) == (b.normal_form, b.data)
         return Comparison.EQUAL_PROVEN if eq else Comparison.UNEQUAL_PROVEN
     return probe_compare(a, b)
 

@@ -165,6 +165,26 @@ def test_cli_twisted(capsys):
     assert "E_8 = (1+t)" in out
 
 
+def test_cli_ideal_laurent_saturated(capsys):
+    # E_1 = (2, t) in Z[t]; t is a unit of Z[t, t^-1], so E_1 = (1)
+    source = "< x, y | y^2, x y x^-1 y^2 >"
+    for p in ("0", "2"):
+        rc = main(["ideal", source, "--alpha", "x=t,y=t^0@t^inf", "--all-d", "--p", p])
+        assert rc == 0
+        assert capsys.readouterr().out == "E_0 = (0)\nE_1 = (1)\nE_2 = (1)\n"
+
+
+def test_cli_finite_size_cap(capsys):
+    # Z_2[t]/(t^(10^9) - 1) is over FINITE_SIZE_CAP; its size p^k is never formed
+    alpha = "x=t,y=t@t^1000000000"
+    assert main(["ideal", "< x, y | x y x^-1 y^-1 >", "--alpha", alpha, "--p", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FINITE_SIZE_CAP" in err
+    # the whole ring needs no normal form
+    assert main(["ideal", "< x | >", "--alpha", "x=t@t^1000000000", "--p", "2"]) == 0
+    assert capsys.readouterr().out == "E_1 = (1)\n"
+
+
 def test_cli_verify(capsys):
     assert main(["verify", "theorem3.4", "--n-max", "5"]) == 0
     assert main(["verify", "lemma3.6", "--n-list", "5,7"]) == 0
@@ -179,6 +199,9 @@ BAD_INPUTS = [
     ["ideal", "< x | >", "--alpha", "x=t@t^"],
     ["ideal", "< x | >", "--alpha", "x=t@t^-3"],
     ["ideal", "< x | >", "--alpha", "x=tzz@t^2"],
+    ["ideal", "< x | x^2 >", "--alpha", "x=t,x=t^2,zz=t@t^2"],
+    ["ideal", "< x | x^2 >", "--alpha", "x=t,x=t@t^2"],  # repeated name
+    ["ideal", "< x | x^2 >", "--alpha", "x=t,zz=t@t^2"],  # not a generator
     ["table3", "yoshikawa:0_1", "--k", "1"],  # trivial target
     ["table3", "yoshikawa:0_1", "--k", "-2"],
 ]

@@ -1,24 +1,43 @@
 """Ideal normalization, membership, and comparison in the quotient rings."""
 
+import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import foxcalc.ideals as ideals_module
+from foxcalc.catalog import theta_alpha, theta_presentation
 from foxcalc.ideals import (
     Comparison,
     UndecidableError,
+    _ext_gcd,
+    _saturate,
+    _to_zpoly,
     finite_ideal_span,
     ideal_compare,
     ideal_contains,
     ideal_equals,
     ideal_from,
+    ideal_normalize,
     minimal_generating_set,
     probe_compare,
     render_ideal,
     strong_groebner,
+    zp_add,
+    zp_deg,
+    zp_lc,
+    zp_mul,
+    zp_neg,
+    zp_reduce,
+    zp_scale_shift,
     zp_top_reduces_to_zero,
+    zp_trim,
 )
-from foxcalc.rings import ring_make
+from foxcalc.invariants import alexander_matrix, elementary_ideal
+from foxcalc.rings import RingElement, ring_make
 
 ZT = ring_make(0, (("t", 0),))
 Z2T = ring_make(2, (("t", 2),))
@@ -38,8 +57,6 @@ def rand_zpoly(rng, deg=4, span=5):
 
 def rand_combination(rng, gens):
     """A random Z[t]-linear combination of the generators."""
-    from foxcalc.ideals import zp_add, zp_mul
-
     acc = ()
     for g in gens:
         mult = rand_zpoly(rng, deg=2, span=3)
@@ -82,6 +99,72 @@ def test_groebner_known_examples():
     basis = strong_groebner([(-1, 1), (1, 1)])
     assert zp_top_reduces_to_zero((2,), basis)
     assert not zp_top_reduces_to_zero((1,), basis)
+
+
+def buchberger_reference(gens):
+    """Strong Groebner basis of an ideal of Z[t] by the plain Buchberger loop:
+    every input in the basis first, every pair's S- and G-polynomial reduced
+    by the whole basis, nothing dropped until the end."""
+    basis = [zp_trim(g) for g in gens if zp_trim(g)]
+    basis = [g if zp_lc(g) > 0 else zp_neg(g) for g in basis]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        f, g = basis[i], basis[j]
+        df, dg = zp_deg(f), zp_deg(g)
+        a, b = zp_lc(f), zp_lc(g)
+        d = max(df, dg)
+        l = a * b // gcd(a, b)
+        spoly = zp_add(
+            zp_scale_shift(f, l // a, d - df),
+            zp_neg(zp_scale_shift(g, l // b, d - dg)),
+        )
+        _, u, v = _ext_gcd(a, b)
+        gpoly = zp_add(zp_scale_shift(f, u, d - df), zp_scale_shift(g, v, d - dg))
+        for cand in (spoly, gpoly):
+            cand = zp_reduce(cand, basis)
+            if cand:
+                if zp_lc(cand) < 0:
+                    cand = zp_neg(cand)
+                for k in range(len(basis)):
+                    pairs.append((k, len(basis)))
+                basis.append(cand)
+    keep = []
+    for g in sorted(basis, key=lambda g: (zp_deg(g), zp_lc(g), g)):
+        if any(zp_deg(h) <= zp_deg(g) and zp_lc(g) % zp_lc(h) == 0 for h in keep):
+            continue
+        keep.append(g)
+    reduced = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        r = zp_reduce(g, others) if others else g
+        if r:
+            if zp_lc(r) < 0:
+                r = zp_neg(r)
+            reduced.append(r)
+    reduced.sort(key=lambda g: (zp_deg(g), g))
+    return tuple(reduced)
+
+
+zpolys = st.lists(st.integers(-20, 20), min_size=1, max_size=9).map(zp_trim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(zpolys, min_size=1, max_size=8), st.integers(0, 6))
+def test_strong_groebner_matches_buchberger_reference(gens, k):
+    # k > 0 adjoins t^k - 1, as the finite-order regime does
+    if k:
+        gens = gens + [(-1,) + (0,) * (k - 1) + (1,)]
+    assert strong_groebner(gens) == buchberger_reference(gens)
+
+
+def test_strong_groebner_matches_reference_on_theta_ideals():
+    for n in range(3, 13):
+        pres = theta_presentation(n)
+        m = alexander_matrix(pres, theta_alpha(pres, n))
+        ideal = elementary_ideal(m, n - 1, simplify=False, normalize=False)
+        polys = [_to_zpoly(g) for g in ideal.generators]
+        assert strong_groebner(polys) == buchberger_reference(polys), n
 
 
 # ---------------------------------------------------------------------------
@@ -175,3 +258,109 @@ def test_multivariate_exact_equality_undecidable_raises():
     b = ideal_from(spec, (x - one, y - one))
     with pytest.raises(UndecidableError):
         ideal_equals(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Normal forms: saturation of Laurent ideals, comparison, the UNIT shortcut.
+
+
+def _rand_elem(rng, spec, nterms=3, span=3, lo=0, hi=3):
+    terms = {(rng.randint(lo, hi),): rng.randint(-span, span) for _ in range(nterms)}
+    return RingElement(spec, terms)
+
+
+def test_laurent_ideal_is_saturated():
+    # (2, t + 2) is proper in Z[t] but holds the unit t of Z[t, t^-1]
+    t = _t()
+    ideal = ideal_from(ZT, (ZT.from_int(2), t + ZT.from_int(2)))
+    assert ideal_normalize(ideal).is_unit()
+    assert ideal_compare(ideal, ideal_from(ZT, (ZT.one(),))) is Comparison.EQUAL_PROVEN
+    # (4, 2t + 4) = (4, 2t) in Z[t], and t is a unit: the Laurent ideal is (2)
+    two, four = ZT.from_int(2), ZT.from_int(4)
+    assert render_ideal(ideal_from(ZT, (four, two * t + four))) == "(2)"
+    # (4, 2t + 4, t^2 + 4) = (4, 2t, t^2) needs two rounds: J : t = (2, t), then (1)
+    assert render_ideal(ideal_from(ZT, (four, two * t + four, t * t + four))) == "(1)"
+    # a basis with no constant term at all: (2t, t^2) : t^inf = (1)
+    assert _saturate(strong_groebner([(0, 2), (0, 0, 1)])) == ((1,),)
+
+
+def test_laurent_membership_matches_shift_reference():
+    # f lies in the Laurent ideal I iff t^N f lies in the Z[t] ideal J of the
+    # shifted generators, for N past the saturation index of J
+    n = 64
+    rng = random.Random(47)
+    for _ in range(150):
+        gens = [_rand_elem(rng, ZT, lo=-2) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        ideal = ideal_from(ZT, tuple(gens))
+        j = strong_groebner([_to_zpoly(g) for g in gens])
+        combo = ZT.zero()
+        for g in gens:
+            combo = combo + g * _rand_elem(rng, ZT, lo=-2)
+        for f in (combo, _rand_elem(rng, ZT, lo=-2), ZT.one(), _t()):
+            if f.is_zero():
+                continue
+            want = zp_top_reduces_to_zero((0,) * n + _to_zpoly(f), j)
+            assert ideal_contains(ideal, f) == want, ([g.render() for g in gens], f)
+
+
+def _rand_ideal(rng, spec):
+    gens = tuple(_rand_elem(rng, spec) for _ in range(rng.randint(1, 3)))
+    return ideal_from(spec, gens)
+
+
+def _two_way_reference(a, b):
+    eq = all(ideal_contains(b, g) for g in a.generators) and all(
+        ideal_contains(a, g) for g in b.generators
+    )
+    return Comparison.EQUAL_PROVEN if eq else Comparison.UNEQUAL_PROVEN
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ring_make(2, (("t", 3),)),  # finite
+        ring_make(3, (("t", 2),)),  # finite
+        ring_make(2, (("t", 0),)),  # field_univariate
+        ring_make(3, (("t", 0),)),  # field_univariate
+        ZT,  # z_univariate, Laurent
+        ring_make(0, (("t", 3),)),  # z_univariate, t^3 - 1 adjoined
+    ],
+    ids=lambda spec: f"p{spec.modulus}k{spec.variables[0][1]}",
+)
+def test_ideal_compare_matches_two_way_membership(spec):
+    rng = random.Random(53)
+    for _ in range(60):
+        a = _rand_ideal(rng, spec)
+        # an equal ideal, generated differently, and an unrelated one
+        combos = []
+        for _ in range(2):
+            c = spec.zero()
+            for g in a.generators:
+                c = c + g * _rand_elem(rng, spec)
+            combos.append(c)
+        shifted = tuple(g * spec.monomial((rng.randint(0, 2),)) for g in a.generators)
+        same = ideal_from(spec, shifted + tuple(combos))
+        other = _rand_ideal(rng, spec)
+        for b in (same, other, ideal_from(spec, ()), ideal_from(spec, (spec.one(),))):
+            want = _two_way_reference(ideal_normalize(a), ideal_normalize(b))
+            assert ideal_compare(a, b) is want
+        assert ideal_compare(a, same) is Comparison.EQUAL_PROVEN
+
+
+def test_ideal_normalize_unit_does_no_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("normal form recomputed for a UNIT ideal")
+
+    for name in ("finite_ideal_span", "strong_groebner", "_gfp_gcd"):
+        monkeypatch.setattr(ideals_module, name, fail)
+    for spec in (Z2T, ring_make(2, (("t", 0),)), ZT, ring_make(0, (("t", 3),))):
+        t = spec.monomial((1,))
+        ideal = ideal_from(spec, (t * t + t, spec.monomial((-1,)), t + spec.one()))
+        assert ideal.is_unit()
+        assert ideal_normalize(ideal) is ideal
+        assert render_ideal(ideal) == "(1)"
+        whole = ideal_from(spec, (spec.one(),))
+        assert ideal_compare(ideal, whole) is Comparison.EQUAL_PROVEN
