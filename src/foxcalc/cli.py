@@ -27,7 +27,7 @@ from .maps import (
     lemma36_rho,
 )
 from .presentations import ParseError
-from .rings import RingError, is_prime
+from .rings import RingError, is_prime, reduce_matrix
 from . import verify
 
 
@@ -96,7 +96,7 @@ def _load(source):
     return pres
 
 
-def _parse_rho(text, pres, p=2):
+def _parse_rho(text, pres):
     if text == "lemma36":
         return lemma36_rho(pres, pres.s)
     raise CliError("only --rho lemma36 is built in; supply a rep via the API", 2)
@@ -106,11 +106,9 @@ def cmd_ideal(args):
     pres = _load(args.source)
     alpha = parse_alpha_spec(args.alpha, pres)
     m = alexander_matrix(pres, alpha, modulus=args.p)
-    ncols = m.declared_cols
-    if args.all_d:
-        ds = range(ncols + 1)
-    else:
-        ds = [args.d if args.d is not None else 1]
+    # --all-d runs over the columns of the unreduced matrix
+    ds = range(m.declared_cols + 1) if args.all_d else [1 if args.d is None else args.d]
+    m = reduce_matrix(m)
     for d in ds:
         print(f"E_{d} = {render_ideal(elementary_ideal(m, d))}")
     return 0

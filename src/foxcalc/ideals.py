@@ -118,44 +118,38 @@ def zp_reduce(f, basis):
     """Fully reduce f by a set of Z[t] polynomials (Euclidean on coefficients).
 
     Each coefficient, from the top down, ends up in [0, |lc|) for every basis
-    element whose leading term can reach it.
+    element whose leading term can reach it.  Works in place on one list.
     """
-    f = zp_trim(f)
-    frozen = {}
-    while f:
-        d, c = zp_deg(f), zp_lc(f)
-        for g in basis:
-            if zp_deg(g) <= d:
-                r = c % abs(zp_lc(g))
-                if r != c:
-                    q = (c - r) // zp_lc(g)
-                    f = zp_add(f, zp_neg(zp_scale_shift(g, q, d - zp_deg(g))))
-                    break
-        else:
-            frozen[d] = c
-            f = zp_trim(f[:-1])
-    if not frozen:
-        return ()
-    res = [0] * (max(frozen) + 1)
-    for d, c in frozen.items():
-        res[d] = c
-    return zp_trim(res)
+    cs = list(f)
+    for d in range(len(cs) - 1, -1, -1):
+        c = cs[d]
+        while c:
+            g = next((g for g in basis if zp_deg(g) <= d and c % abs(zp_lc(g)) != c), None)
+            if g is None:
+                break
+            _sub_shifted(cs, g, (c - c % abs(zp_lc(g))) // zp_lc(g), d)
+            c = cs[d]
+    return zp_trim(cs)
 
 
 def zp_top_reduces_to_zero(f, basis):
     """Membership test: top-reduction by a strong Groebner basis."""
-    f = zp_trim(f)
-    while f:
-        d, c = zp_deg(f), zp_lc(f)
-        hit = False
-        for g in basis:
-            if zp_deg(g) <= d and c % zp_lc(g) == 0:
-                f = zp_add(f, zp_neg(zp_scale_shift(g, c // zp_lc(g), d - zp_deg(g))))
-                hit = True
-                break
-        if not hit:
-            return False
+    cs = list(f)
+    for d in range(len(cs) - 1, -1, -1):
+        c = cs[d]
+        if c:
+            g = next((g for g in basis if zp_deg(g) <= d and c % zp_lc(g) == 0), None)
+            if g is None:
+                return False
+            _sub_shifted(cs, g, c // zp_lc(g), d)
     return True
+
+
+def _sub_shifted(cs, g, q, d):
+    """cs -= q * t^(d - deg g) * g, in place."""
+    shift = d - zp_deg(g)
+    for j, x in enumerate(g):
+        cs[shift + j] -= q * x
 
 
 def _lead_divides(f, g):
@@ -450,22 +444,23 @@ def _to_zpoly_modp(elem, p):
 def _gfp_gcd(a, b, p):
     a, b = zp_trim(c % p for c in a), zp_trim(c % p for c in b)
     while b:
-        # a mod b over GF(p)
-        inv = pow(zp_lc(b), -1, p)
-        r = a
-        while r and zp_deg(r) >= zp_deg(b):
-            f = (zp_lc(r) * inv) % p
-            r = zp_trim(
-                (x - f * y) % p
-                for x, y in zip(
-                    r, zp_scale_shift(b, 1, zp_deg(r) - zp_deg(b)) + (0,) * len(r)
-                )
-            )
-        a, b = b, r
+        a, b = b, _gfp_rem(a, b, p)
     if a:
         inv = pow(zp_lc(a), -1, p)
         a = zp_trim((c * inv) % p for c in a)
     return a
+
+
+def _gfp_rem(a, b, p):
+    """a mod b over GF(p), for a and b reduced mod p, b nonzero."""
+    r, db = list(a), zp_deg(b)
+    inv = pow(zp_lc(b), -1, p)
+    for d in range(len(r) - 1, db - 1, -1):
+        f = r[d] * inv % p
+        if f:
+            for j, y in enumerate(b):
+                r[d - db + j] = (r[d - db + j] - f * y) % p
+    return zp_trim(r)
 
 
 def ideal_contains(ideal, elem):
@@ -489,17 +484,7 @@ def ideal_contains(ideal, elem):
         )
     if nf is NormalForm.PRINCIPAL:
         p = ideal.spec.modulus
-        g = _to_zpoly_modp(ideal.data[0], p)
-        f = _to_zpoly_modp(elem, p)
-        inv = pow(zp_lc(g), -1, p)
-        while f and zp_deg(f) >= zp_deg(g):
-            fac = (zp_lc(f) * inv) % p
-            shifted = zp_scale_shift(g, fac, zp_deg(f) - zp_deg(g))
-            f = zp_trim(
-                (x - (shifted[i] if i < len(shifted) else 0)) % p
-                for i, x in enumerate(f)
-            )
-        return not f
+        return not _gfp_rem(_to_zpoly_modp(elem, p), _to_zpoly_modp(ideal.data[0], p), p)
     if nf is NormalForm.GB:
         return zp_top_reduces_to_zero(_to_zpoly(elem), ideal.data[0])
     raise UndecidableError("membership undecidable in this ring regime")

@@ -91,26 +91,22 @@ def _fox_matrix(pres, alpha, rho, modulus):
     return RingMatrix(spec, tuple(rows), n * pres.t, n * pres.s)
 
 
-def elementary_ideal(m, d, simplify=True, normalize=True):
-    """The d-th elementary ideal of an infinitely zero-padded t x s matrix.
-
-    (s-d)-minors if 0 < s-d <= t, the zero ideal if s-d > t, the whole ring
-    if s-d <= 0.  A unit-pivot reduction (which preserves every E_d) is
-    applied first unless simplify is False.
-    """
+def minors_ideal(m, d):
+    """The d-th elementary ideal of an infinitely zero-padded t x s matrix,
+    as its generators: the whole ring if s-d <= 0, the zero ideal if
+    s-d > t, the (s-d)-minors otherwise.  Neither reduced nor normalized."""
     if d < 0:
         raise RingError("d must be >= 0")
-    if simplify:
-        m = reduce_matrix(m)
-    s, t = m.declared_cols, m.declared_rows
-    q = s - d
+    q = m.declared_cols - d
     if q <= 0:
-        ideal = ideal_from(m.spec, (m.spec.one(),))
-    elif q > t:
-        ideal = ideal_from(m.spec, ())
-    else:
-        ideal = ideal_from(m.spec, tuple(minors(m, q)))
-    return ideal_normalize(ideal) if normalize else ideal
+        return ideal_from(m.spec, (m.spec.one(),))
+    return ideal_from(m.spec, tuple(minors(m, q)))  # no minors when q > t
+
+
+def elementary_ideal(m, d):
+    """E_d in normal form, from the minors of the unit-pivot reduction of m
+    (which preserves every E_d)."""
+    return ideal_normalize(minors_ideal(reduce_matrix(m), d))
 
 
 def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
@@ -143,10 +139,9 @@ def surfacelink_invariant(pres, p=2, k=2, n=2):
     classes = conjugacy_classes(enumerate_homs(pres, n=n, p=p))
     rows = []
     for rho, _ in classes:
-        m = twisted_matrix(pres, alpha, rho)
-        ns = n * pres.s
+        m = reduce_matrix(twisted_matrix(pres, alpha, rho))
         entries = [
-            render_ideal(elementary_ideal(m, d))[1:-1] for d in range(1, ns + 1)
+            render_ideal(elementary_ideal(m, d))[1:-1] for d in range(1, n * pres.s + 1)
         ]
         while len(entries) >= 2 and entries[-1] == "1" and entries[-2] == "1":
             entries.pop()
@@ -166,10 +161,13 @@ def _merge_rows(rows):
 
 
 def alexander_polynomial(pres, alpha, modulus=0):
-    """gcd of the generators of E_1; needs a genuine Laurent ring."""
+    """gcd of the generators of E_1; needs a genuine Laurent ring.  Its
+    graded-lex greatest coefficient is positive over Z and 1 over Z_p."""
     m = alexander_matrix(pres, alpha, modulus=modulus)
-    ideal = elementary_ideal(m, 1, simplify=False, normalize=False)
+    ideal = minors_ideal(reduce_matrix(m), 1)
     if ideal.is_zero():
         return m.spec.zero()
-    g = content_gcd(ideal.generators)
-    return normalize_sign(g.shift_to_origin())
+    g = normalize_sign(content_gcd(ideal.generators).shift_to_origin())
+    if modulus:
+        g = g * m.spec.from_int(pow(g.sorted_terms()[-1][1], -1, modulus))
+    return g

@@ -44,10 +44,6 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", free_reduce(self.letters))
 
-    @property
-    def is_identity(self):
-        return not self.letters
-
     def __mul__(self, other):
         return Word(self.letters + other.letters)
 

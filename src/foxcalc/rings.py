@@ -225,10 +225,9 @@ class RingElement:
             else:
                 piece = f"{c}{mono}"
             pieces.append(piece)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
+        return pieces[0] + "".join(
+            piece if piece.startswith("-") else "+" + piece for piece in pieces[1:]
+        )
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,6 @@ class RingMatrix:
             raise RingError("ragged matrix")
         return cls(spec, rows, len(rows), ncols)
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
 
 def det(spec, rows, cap=DET_CAP):
     """Division-free determinant by cofactor expansion memoized on column sets.
@@ -275,8 +271,8 @@ def det(spec, rows, cap=DET_CAP):
     cache = {}
 
     def rec(row, cols):
-        if not cols:
-            return spec.one()
+        if len(cols) == 1:
+            return rows[row][cols[0]]
         key = cols
         if key in cache:
             return cache[key]

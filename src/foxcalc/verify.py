@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-from .catalog import (
-    theta_alpha,
-    theta_alpha_prime,
-    theta_presentation,
-)
-from .ideals import ideal_equals, ideal_from, ideal_normalize
+from .catalog import theta_alpha, theta_alpha_prime, theta_presentation
+from .ideals import ideal_equals, ideal_from
 from .invariants import alexander_matrix, elementary_ideal, twisted_matrix
 from .maps import lemma36_rho
-from .rings import ring_make
-
-
-def _laurent_spec():
-    return ring_make(0, (("t", 0),))
+from .rings import reduce_matrix
 
 
 def theta_case_ideal(spec, n):
@@ -33,49 +25,38 @@ def theta_case_ideal(spec, n):
     return ideal_from(spec, (cyclo,))
 
 
+def _check_chain(m, r, target):
+    """E_d of m is (0) for d < r, target at d = r, and (1) at r+1 and r+2."""
+    m = reduce_matrix(m)  # once, for every d
+    return (
+        all(elementary_ideal(m, d).is_zero() for d in range(r))
+        and ideal_equals(elementary_ideal(m, r), target)
+        and all(elementary_ideal(m, d).is_unit() for d in (r + 1, r + 2))
+    )
+
+
 def check_theorem34(n):
     """E_d of the theta-n group under alpha_n over Z[t,t^-1], all d."""
     pres = theta_presentation(n)
-    alpha = theta_alpha(pres, n)
-    m = alexander_matrix(pres, alpha)
-    spec = m.spec
-    for d in range(n - 1):
-        if not elementary_ideal(m, d, simplify=False).is_zero():
-            return False
-    for d in (n, n + 1):
-        if not elementary_ideal(m, d).is_unit():
-            return False
-    ideal = elementary_ideal(m, n - 1, simplify=False)
-    return ideal_equals(ideal, theta_case_ideal(spec, n))
+    m = alexander_matrix(pres, theta_alpha(pres, n))
+    return _check_chain(m, n - 1, theta_case_ideal(m.spec, n))
 
 
 def check_remark34(n):
     """E_{n-1} under alpha'_n over Z[t]/(t^n - 1) equals (1 - t + t^2)."""
     pres = theta_presentation(n)
-    alpha = theta_alpha_prime(pres, n)
-    m = alexander_matrix(pres, alpha)
+    m = alexander_matrix(pres, theta_alpha_prime(pres, n))
     spec = m.spec
-    ideal = elementary_ideal(m, n - 1, simplify=False)
     one, t, t2 = spec.one(), spec.monomial((1,)), spec.monomial((2,))
-    return ideal_equals(ideal, ideal_from(spec, (one - t + t2,)))
+    return ideal_equals(elementary_ideal(m, n - 1), ideal_from(spec, (one - t + t2,)))
 
 
 def check_theorem37(n):
     """Twisted ideals over Z_2[t,t^-1]: (0) below 2n-2, (1+t) there, then (1)."""
     pres = theta_presentation(n)
-    alpha = theta_alpha(pres, n)
-    rho = lemma36_rho(pres, n)
-    m = twisted_matrix(pres, alpha, rho)
-    for d in range(2 * n - 2):
-        if not elementary_ideal(m, d, simplify=False).is_zero():
-            return False
-    for d in (2 * n - 1, 2 * n):
-        if not elementary_ideal(m, d).is_unit():
-            return False
-    ideal = elementary_ideal(m, 2 * n - 2, simplify=False)
-    spec = m.spec
-    target = ideal_from(spec, (spec.one() + spec.monomial((1,)),))
-    return ideal_equals(ideal, target)
+    m = twisted_matrix(pres, theta_alpha(pres, n), lemma36_rho(pres, n))
+    target = ideal_from(m.spec, (m.spec.one() + m.spec.monomial((1,)),))
+    return _check_chain(m, 2 * n - 2, target)
 
 
 def check_lemma36(n):

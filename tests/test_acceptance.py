@@ -32,6 +32,7 @@ from foxcalc.invariants import (
     alexander_polynomial,
     elementary_ideal,
     handlebody_invariant,
+    minors_ideal,
     surfacelink_invariant,
     twisted_matrix,
 )
@@ -248,7 +249,7 @@ def _free_abelian_alpha(pres, orders=None):
 
 def _first_ideal(pres, alpha):
     m = alexander_matrix(pres, alpha)
-    return m.spec, elementary_ideal(m, 1, simplify=False, normalize=False)
+    return m.spec, minors_ideal(m, 1)
 
 
 def test_criterion_6_table2_spot_checks(capsys):
@@ -398,7 +399,7 @@ def test_criterion_9_property_suites(capsys):
         ]
         m = RingMatrix.build(z2t, rows)
         chain = [
-            ideal_normalize(elementary_ideal(m, d, simplify=False))
+            ideal_normalize(minors_ideal(m, d))
             for d in range(s_ + 1)
         ]
         for lower, upper in zip(chain, chain[1:]):

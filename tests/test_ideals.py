@@ -36,7 +36,7 @@ from foxcalc.ideals import (
     zp_top_reduces_to_zero,
     zp_trim,
 )
-from foxcalc.invariants import alexander_matrix, elementary_ideal
+from foxcalc.invariants import alexander_matrix, minors_ideal
 from foxcalc.rings import RingElement, ring_make
 
 ZT = ring_make(0, (("t", 0),))
@@ -158,11 +158,65 @@ def test_strong_groebner_matches_buchberger_reference(gens, k):
     assert strong_groebner(gens) == buchberger_reference(gens)
 
 
+def zp_reduce_reference(f, basis):
+    """zp_reduce as it was before it worked in place: it rebuilt the whole
+    polynomial at every step, quadratic in the degree."""
+    f = zp_trim(f)
+    frozen = {}
+    while f:
+        d, c = zp_deg(f), zp_lc(f)
+        for g in basis:
+            if zp_deg(g) <= d:
+                r = c % abs(zp_lc(g))
+                if r != c:
+                    q = (c - r) // zp_lc(g)
+                    f = zp_add(f, zp_neg(zp_scale_shift(g, q, d - zp_deg(g))))
+                    break
+        else:
+            frozen[d] = c
+            f = zp_trim(f[:-1])
+    if not frozen:
+        return ()
+    res = [0] * (max(frozen) + 1)
+    for d, c in frozen.items():
+        res[d] = c
+    return zp_trim(res)
+
+
+def zp_top_reduces_to_zero_reference(f, basis):
+    """zp_top_reduces_to_zero as it was before it worked in place."""
+    f = zp_trim(f)
+    while f:
+        d, c = zp_deg(f), zp_lc(f)
+        for g in basis:
+            if zp_deg(g) <= d and c % zp_lc(g) == 0:
+                f = zp_add(f, zp_neg(zp_scale_shift(g, c // zp_lc(g), d - zp_deg(g))))
+                break
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), max_size=14),
+    st.lists(zpolys.filter(bool), max_size=4),
+)
+def test_zp_reduce_matches_reference(f, basis):
+    # f as drawn, trailing zeros included; basis in arbitrary order, as the
+    # result depends on which element is tried first
+    assert zp_reduce(f, basis) == zp_reduce_reference(f, basis)
+    assert zp_top_reduces_to_zero(f, basis) == zp_top_reduces_to_zero_reference(f, basis)
+    gb = strong_groebner(basis)
+    assert zp_reduce(f, gb) == zp_reduce_reference(f, gb)
+    assert zp_top_reduces_to_zero(f, gb) == zp_top_reduces_to_zero_reference(f, gb)
+
+
 def test_strong_groebner_matches_reference_on_theta_ideals():
     for n in range(3, 13):
         pres = theta_presentation(n)
         m = alexander_matrix(pres, theta_alpha(pres, n))
-        ideal = elementary_ideal(m, n - 1, simplify=False, normalize=False)
+        ideal = minors_ideal(m, n - 1)
         polys = [_to_zpoly(g) for g in ideal.generators]
         assert strong_groebner(polys) == buchberger_reference(polys), n
 

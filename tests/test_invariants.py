@@ -12,12 +12,13 @@ from foxcalc.catalog import (
     theta_wirtinger_presentation,
 )
 from foxcalc.fox import fox_derive
-from foxcalc.ideals import ideal_contains, ideal_equals, ideal_normalize
+from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_normalize
 from foxcalc.invariants import (
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
     handlebody_invariant,
+    minors_ideal,
     surfacelink_invariant,
     twisted_matrix,
 )
@@ -54,7 +55,7 @@ def test_elementary_ideal_conventions():
     pres = parse_presentation("< x, y | x y x^-1 y^-1 >")
     m = alexander_matrix(pres, cyclic_map(pres, (1, 1), 0))
     # s=2, t=1: E_0 needs 2-minors of a 1-row matrix -> (0)
-    assert elementary_ideal(m, 0, simplify=False).is_zero()
+    assert ideal_normalize(minors_ideal(m, 0)).is_zero()
     # d >= s -> whole ring
     assert elementary_ideal(m, 2).is_unit()
     assert elementary_ideal(m, 5).is_unit()
@@ -66,7 +67,7 @@ def test_ideal_chain_is_ascending():
         pres = theta_presentation(n)
         m = alexander_matrix(pres, theta_alpha(pres, n))
         ideals = [
-            ideal_normalize(elementary_ideal(m, d, simplify=False))
+            ideal_normalize(minors_ideal(m, d))
             for d in range(n + 1)
         ]
         for lower, upper in zip(ideals, ideals[1:]):
@@ -89,7 +90,7 @@ def test_ideal_chain_ascending_random_matrices():
         ]
         m = RingMatrix.build(spec, rows)
         ideals = [
-            ideal_normalize(elementary_ideal(m, d, simplify=False))
+            ideal_normalize(minors_ideal(m, d))
             for d in range(s_ + 1)
         ]
         for lower, upper in zip(ideals, ideals[1:]):
@@ -180,6 +181,31 @@ def test_alexander_polynomial_zero_for_deficiency_two():
     pres = parse_presentation("< x, y, z | y^-1 x^-1 z x y z^-1 >")
     alpha = cyclic_map(pres, (1, 1, 1), 0)
     assert alexander_polynomial(pres, alpha).is_zero()
+
+
+def test_alexander_polynomial_over_zp_is_monic():
+    # one minor, which content_gcd used to return as it was (4+2t), and two
+    # minors, whose sympy gcd is monic (1+t)
+    z5t = ring_make(5, (("t", 0),))
+    one, t = z5t.one(), z5t.monomial((1,))
+    pres = parse_presentation("< x, y | x y^2 x^-1 y^-1 >")
+    g = alexander_polynomial(pres, abelian_map(pres, ((1,), (0,)), (("t", 0),)), 5)
+    assert g == z5t.from_int(2) + t
+    pres = parse_presentation("< x, y | x^2 y^-2 >")
+    assert alexander_polynomial(pres, cyclic_map(pres, (1, 1), 0), 5) == one + t
+
+
+def test_theorem37_unreduced_reference():
+    # E_{2n-2} from every 2x2 minor of the unreduced twisted matrix, the
+    # reference for verify's reduced path
+    from foxcalc.verify import check_theorem37
+
+    for n in (5, 7):
+        pres = theta_presentation(n)
+        m = twisted_matrix(pres, theta_alpha(pres, n), lemma36_rho(pres, n))
+        target = ideal_from(m.spec, (m.spec.one() + m.spec.monomial((1,)),))
+        assert ideal_equals(minors_ideal(m, 2 * n - 2), target), n
+        assert check_theorem37(n), n
 
 
 def test_surfacelink_invariant_unknotted_sphere():

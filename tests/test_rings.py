@@ -126,23 +126,36 @@ def test_minor_count():
 
 
 def test_reduce_matrix_preserves_elementary_ideals():
+    from foxcalc.catalog import theta_alpha, theta_presentation
     from foxcalc.ideals import ideal_equals
-    from foxcalc.invariants import elementary_ideal
+    from foxcalc.invariants import elementary_ideal, minors_ideal, twisted_matrix
+    from foxcalc.maps import lemma36_rho
 
     rng = random.Random(29)
-    for _ in range(25):
-        spec = rng.choice((ZT, Z2T))
+    other_specs = (
+        ring_make(3, (("t", 0),)),  # Z_3[t^+-1]
+        ring_make(2, (("t", 3),)),  # Z_2[t]/(t^3 - 1)
+        ring_make(3, (("t", 2),)),  # Z_3[t]/(t^2 - 1)
+    )
+    matrices = []
+    for specs in ((ZT, Z2T),) * 25 + (other_specs,) * 30:
+        spec = rng.choice(specs)
         t_, s_ = rng.randrange(1, 4), rng.randrange(1, 4)
         rows = [
             [rand_elem(rng, spec, rng.randrange(3), 1) for _ in range(s_)]
             for _ in range(t_)
         ]
-        m = RingMatrix.build(spec, rows)
+        matrices.append(RingMatrix.build(spec, rows))
+    for n in (5, 7):  # the twisted matrices of Theorem 3.7, over Z_2[t^+-1]
+        pres = theta_presentation(n)
+        matrices.append(twisted_matrix(pres, theta_alpha(pres, n), lemma36_rho(pres, n)))
+    for m in matrices:
         r = reduce_matrix(m)
-        for d in range(s_ + 1):
-            a = elementary_ideal(m, d, simplify=False)
-            b = elementary_ideal(r, d, simplify=False)
-            assert ideal_equals(a, b), (d, [[e.render() for e in row] for row in rows])
+        for d in range(m.declared_cols + 1):
+            a = minors_ideal(m, d)
+            b = minors_ideal(r, d)
+            assert ideal_equals(a, b), (d, [[e.render() for e in row] for row in m.entries])
+            assert ideal_equals(a, elementary_ideal(m, d)), d
 
 
 def test_poly_gcd_basic():
