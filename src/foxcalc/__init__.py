@@ -29,6 +29,7 @@ from .invariants import (
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
+    elementary_ideals,
     handlebody_invariant,
     surfacelink_invariant,
     twisted_matrix,

@@ -15,6 +15,7 @@ from .ideals import render_ideal
 from .invariants import (
     alexander_matrix,
     elementary_ideal,
+    elementary_ideals,
     handlebody_invariant,
     surfacelink_invariant,
     twisted_matrix,
@@ -27,7 +28,7 @@ from .maps import (
     lemma36_rho,
 )
 from .presentations import ParseError
-from .rings import RingError, is_prime, reduce_matrix
+from .rings import RingError, is_prime
 from . import verify
 
 
@@ -88,6 +89,19 @@ def prime(text):
     return p
 
 
+def modulus(text):
+    """argparse type of a --p that is 0, meaning Z, or prime."""
+    return 0 if int(text) == 0 else prime(text)
+
+
+def natural(text):
+    """argparse type of a --d, at least 0."""
+    d = int(text)
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"{d} is negative")
+    return d
+
+
 def _load(source):
     try:
         pres, _ = load_presentation(source)
@@ -108,9 +122,8 @@ def cmd_ideal(args):
     m = alexander_matrix(pres, alpha, modulus=args.p)
     # --all-d runs over the columns of the unreduced matrix
     ds = range(m.declared_cols + 1) if args.all_d else [1 if args.d is None else args.d]
-    m = reduce_matrix(m)
-    for d in ds:
-        print(f"E_{d} = {render_ideal(elementary_ideal(m, d))}")
+    for d, ideal in zip(ds, elementary_ideals(m, ds)):
+        print(f"E_{d} = {render_ideal(ideal)}")
     return 0
 
 
@@ -140,6 +153,8 @@ def _emit_table(table, as_json):
 
 
 def cmd_table1(args):
+    if args.k < 2:
+        raise CliError(f"--k must be at least 2, got {args.k}", 2)
     pres = _load(args.source)
     table = handlebody_invariant(pres, p=args.p, k=args.k, d=args.d)
     _emit_table(table, args.json)
@@ -191,16 +206,16 @@ def build_parser():
     p = sub.add_parser("ideal", help="untwisted elementary ideals")
     p.add_argument("source", help="catalog key, inline presentation, or file")
     p.add_argument("--alpha", required=True, help="e.g. 'x1=t,x2=t^-4@t^inf'")
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=natural, default=None)
     p.add_argument("--all-d", action="store_true")
-    p.add_argument("--p", type=int, default=0, help="coefficient modulus")
+    p.add_argument("--p", type=modulus, default=0, help="coefficient modulus, 0 or prime")
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("twisted", help="twisted elementary ideals")
     p.add_argument("source")
     p.add_argument("--alpha", required=True)
     p.add_argument("--rho", required=True, help="'lemma36'")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=natural, required=True)
     p.set_defaults(func=cmd_twisted)
 
     p = sub.add_parser("reps", help="count homomorphisms to SL(2;Z_p)")
@@ -212,7 +227,7 @@ def build_parser():
     p.add_argument("source")
     p.add_argument("--p", type=prime, default=2)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=natural, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table1)
 

@@ -4,19 +4,19 @@ Normalization dispatches on the ring spec:
 
   (a) finite rings (p > 0, all orders finite): the ideal is a Z_p-subspace
       of the monomial basis, computed by row reduction; displayed via a
-      greedy minimal generating set.
-  (b) univariate over a prime field with infinite order: principal, by the
-      Euclidean algorithm.
-  (c) univariate over Z with infinite order (Laurent generators are shifted
-      to polynomials, and the ideal they generate in Z[t] is saturated by
-      t, so that it is the unique preimage of the Laurent ideal) or a single
-      finite-order variable (t^k - 1 adjoined): the reduced strong Groebner
-      basis over Z[t], built from S-polynomials and gcd-polynomials, giving
-      exact membership.
-  (d) anything else: generators only; equality falls back to probing in
+      greedy, then irredundant, generating set.
+  (b) univariate rings over Z or Z_p that are not finite: Z, Z[t^±1],
+      Z[t]/(t^k - 1) and Z_p[t^±1].  The reduced strong Groebner basis over
+      Z[t], built from S-polynomials and gcd-polynomials, gives exact
+      membership.  Laurent generators are shifted to polynomials, and the
+      ideal they generate in Z[t] is saturated by t, so that it is the
+      unique preimage of the Laurent ideal; a finite order k adjoins
+      t^k - 1, and a modulus p adjoins the constant p.  Over Z_p the basis
+      is {p, g}, g the monic gcd with coefficients in [0, p).
+  (c) anything else: generators only; equality falls back to probing in
       finite quotients and is three-valued.
 
-The normal forms of (a)-(c) are unique, so equality there is decided by
+The normal forms of (a) and (b) are unique, so equality there is decided by
 comparing them.  An ideal in UNIT form carries no normal-form data.
 """
 
@@ -39,7 +39,6 @@ PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 class NormalForm(enum.Enum):
     ZERO = "zero"
     UNIT = "unit"
-    PRINCIPAL = "principal"
     FINITE_SET = "finite_set"
     GB = "gb"
     GENERATORS_ONLY = "generators_only"
@@ -286,7 +285,7 @@ class Ideal:
     spec: RingSpec
     generators: tuple
     normal_form: NormalForm = NormalForm.GENERATORS_ONLY
-    data: tuple = ()  # normal-form payload (GB tuple, span basis, principal gen)
+    data: tuple = ()  # normal-form payload (GB tuple or span basis)
 
     def is_zero(self):
         return self.normal_form is NormalForm.ZERO
@@ -310,14 +309,8 @@ def ideal_from(spec, gens):
 def _regime(spec):
     if spec.is_finite():
         return "finite"
-    if spec.nvars == 1:
-        name, k = spec.variables[0]
-        if spec.modulus > 0 and k == 0:
-            return "field_univariate"
-        if spec.modulus == 0:
-            return "z_univariate"  # k = 0 (Laurent) or k > 0 (adjoin t^k - 1)
-    if spec.nvars == 0 and spec.modulus == 0:
-        return "z_univariate"
+    if spec.nvars <= 1:
+        return "univariate"  # Z, or one variable of infinite order or over Z
     return "other"
 
 
@@ -410,20 +403,11 @@ def ideal_normalize(ideal):
         if not basis:
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.FINITE_SET, (basis, pivots))
-    if regime == "field_univariate":
-        p = spec.modulus
-        g = ()
-        for elem in gens:
-            g = _gfp_gcd(g, _to_zpoly_modp(elem, p), p)
-        if not g:
-            return Ideal(spec, (), NormalForm.ZERO)
-        gen_elem = _zpoly_to_elem(spec, g)
-        if gen_elem.is_unit_monomial() or zp_deg(g) == 0:
-            return Ideal(spec, gens, NormalForm.UNIT)
-        return Ideal(spec, gens, NormalForm.PRINCIPAL, (gen_elem,))
-    if regime == "z_univariate":
+    if regime == "univariate":
+        p, quot = spec.modulus, _quotient_modulus_poly(spec)
         polys = [_to_zpoly(g) for g in gens]
-        quot = _quotient_modulus_poly(spec)
+        if p:
+            polys.append((p,))  # Z_p[t^±1] = Z[t^±1] / (p)
         if quot:
             polys.append(quot)
         gb = strong_groebner(polys)
@@ -431,40 +415,14 @@ def ideal_normalize(ideal):
             gb = _saturate(gb)
         if gb == ((1,),):
             return Ideal(spec, gens, NormalForm.UNIT)
-        if not gb:
+        if gb in ((), ((p,),)):
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.GB, (gb,))
     return Ideal(spec, gens, NormalForm.GENERATORS_ONLY)
 
 
-def _to_zpoly_modp(elem, p):
-    return zp_trim(c % p for c in _to_zpoly(elem))
-
-
-def _gfp_gcd(a, b, p):
-    a, b = zp_trim(c % p for c in a), zp_trim(c % p for c in b)
-    while b:
-        a, b = b, _gfp_rem(a, b, p)
-    if a:
-        inv = pow(zp_lc(a), -1, p)
-        a = zp_trim((c * inv) % p for c in a)
-    return a
-
-
-def _gfp_rem(a, b, p):
-    """a mod b over GF(p), for a and b reduced mod p, b nonzero."""
-    r, db = list(a), zp_deg(b)
-    inv = pow(zp_lc(b), -1, p)
-    for d in range(len(r) - 1, db - 1, -1):
-        f = r[d] * inv % p
-        if f:
-            for j, y in enumerate(b):
-                r[d - db + j] = (r[d - db + j] - f * y) % p
-    return zp_trim(r)
-
-
 def ideal_contains(ideal, elem):
-    """Exact membership in regimes (a)-(c)."""
+    """Exact membership in regimes (a) and (b)."""
     ideal = ideal_normalize(ideal)
     if elem.spec != ideal.spec:
         raise RingError("spec mismatch")
@@ -482,20 +440,17 @@ def ideal_contains(ideal, elem):
         return _in_span(
             _elem_to_vector(elem, monomials, index), basis, pivots, ideal.spec.modulus
         )
-    if nf is NormalForm.PRINCIPAL:
-        p = ideal.spec.modulus
-        return not _gfp_rem(_to_zpoly_modp(elem, p), _to_zpoly_modp(ideal.data[0], p), p)
     if nf is NormalForm.GB:
         return zp_top_reduces_to_zero(_to_zpoly(elem), ideal.data[0])
     raise UndecidableError("membership undecidable in this ring regime")
 
 
 def ideal_compare(a, b):
-    """Three-valued equality; exact in regimes (a)-(c), probed otherwise.
+    """Three-valued equality; exact in regimes (a) and (b), probed otherwise.
 
-    In regimes (a)-(c) the normal form is unique (RREF span, monic gcd,
-    reduced strong basis of the saturated ideal), so equal ideals have
-    equal (normal_form, data).
+    In regimes (a) and (b) the normal form is unique (RREF span, reduced
+    strong basis of the saturated ideal), so equal ideals have equal
+    (normal_form, data).
     """
     if a.spec != b.spec:
         raise RingError("spec mismatch")
@@ -513,7 +468,7 @@ def ideal_equals(a, b):
     return cmp is Comparison.EQUAL_PROVEN
 
 
-def probe_compare(a, b, probes=PROBES):
+def probe_compare(a, b):
     """Compare two multivariate ideals through finite quotients.
 
     Unequal in some probe proves inequality; agreement in every probe is
@@ -522,7 +477,7 @@ def probe_compare(a, b, probes=PROBES):
     spec = a.spec
     if spec.modulus != 0:
         return Comparison.UNDETERMINED
-    for p, k in probes:
+    for p, k in PROBES:
         pspec, mapper = _probe_map(spec, p, k)
         ga = [mapper(g) for g in a.generators]
         gb = [mapper(g) for g in b.generators]
@@ -565,7 +520,10 @@ def _elem_sort_key(elem):
 
 
 def minimal_generating_set(ideal):
-    """Greedy minimal generating set of a FINITE_SET ideal, canonical order."""
+    """Irredundant generating set of a FINITE_SET ideal, canonical order.
+
+    Greedy over the nonzero elements in canonical order, then one pass that
+    drops each generator the ones still kept already generate."""
     ideal = ideal_normalize(ideal)
     spec = ideal.spec
     basis, pivots = ideal.data
@@ -580,6 +538,10 @@ def minimal_generating_set(ideal):
         out.append(e)
         if finite_ideal_span(spec, out)[0][0] == basis:
             break
+    for e in tuple(out):
+        rest = [g for g in out if g != e]
+        if rest and finite_ideal_span(spec, rest)[0][0] == basis:
+            out = rest
     return tuple(out)
 
 
@@ -591,10 +553,9 @@ def render_ideal(ideal):
         return "(0)"
     if nf is NormalForm.UNIT:
         return "(1)"
-    if nf is NormalForm.PRINCIPAL:
-        return f"({ideal.data[0].render()})"
     if nf is NormalForm.GB:
-        gens = [_zpoly_to_elem(ideal.spec, g) for g in ideal.data[0]]
+        p = ideal.spec.modulus  # over Z_p the basis holds p, zero in the ring
+        gens = [_zpoly_to_elem(ideal.spec, g) for g in ideal.data[0] if g != (p,)]
         return "(" + ",".join(g.render() for g in gens) + ")"
     if nf is NormalForm.FINITE_SET:
         gens = minimal_generating_set(ideal)

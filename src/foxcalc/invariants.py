@@ -103,10 +103,16 @@ def minors_ideal(m, d):
     return ideal_from(m.spec, tuple(minors(m, q)))  # no minors when q > t
 
 
+def elementary_ideals(m, ds):
+    """E_d in normal form for each d in ds, lazily and in order, from the
+    minors of one unit-pivot reduction of m (which preserves every E_d)."""
+    m = reduce_matrix(m)
+    return (ideal_normalize(minors_ideal(m, d)) for d in ds)
+
+
 def elementary_ideal(m, d):
-    """E_d in normal form, from the minors of the unit-pivot reduction of m
-    (which preserves every E_d)."""
-    return ideal_normalize(minors_ideal(reduce_matrix(m), d))
+    """E_d of m in normal form."""
+    return next(elementary_ideals(m, (d,)))
 
 
 def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
@@ -139,10 +145,8 @@ def surfacelink_invariant(pres, p=2, k=2, n=2):
     classes = conjugacy_classes(enumerate_homs(pres, n=n, p=p))
     rows = []
     for rho, _ in classes:
-        m = reduce_matrix(twisted_matrix(pres, alpha, rho))
-        entries = [
-            render_ideal(elementary_ideal(m, d))[1:-1] for d in range(1, n * pres.s + 1)
-        ]
+        ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), range(1, n * pres.s + 1))
+        entries = [render_ideal(ideal)[1:-1] for ideal in ideals]
         while len(entries) >= 2 and entries[-1] == "1" and entries[-2] == "1":
             entries.pop()
         rows.append(tuple(entries))

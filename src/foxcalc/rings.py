@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 DET_CAP = 10
 
@@ -54,7 +54,7 @@ class RingSpec:
     variables: tuple  # of (name, order)
 
     def __post_init__(self):
-        if self.modulus < 0 or (self.modulus > 1 and not is_prime(self.modulus)):
+        if self.modulus != 0 and not is_prime(self.modulus):
             raise RingError(f"modulus must be 0 or prime, got {self.modulus}")
         names = [n for n, _ in self.variables]
         if len(set(names)) != len(names):
@@ -256,7 +256,7 @@ class RingMatrix:
         return cls(spec, rows, len(rows), ncols)
 
 
-def det(spec, rows, cap=DET_CAP):
+def det(spec, rows):
     """Division-free determinant by cofactor expansion memoized on column sets.
 
     rows: list of equal-length tuples of RingElement, square.
@@ -266,8 +266,8 @@ def det(spec, rows, cap=DET_CAP):
         return spec.one()
     if any(len(r) != n for r in rows):
         raise RingError("determinant of non-square matrix")
-    if n > cap:
-        raise RingError(f"determinant size {n} over cap {cap}")
+    if n > DET_CAP:
+        raise RingError(f"determinant size {n} over cap {DET_CAP}")
     cache = {}
 
     def rec(row, cols):
@@ -290,7 +290,7 @@ def det(spec, rows, cap=DET_CAP):
     return rec(0, tuple(range(n)))
 
 
-def minors(m, q, cap=DET_CAP):
+def minors(m, q):
     """All q x q minors drawn from the declared rows and columns.
 
     Ordered lexicographically by (row subset, column subset).  Empty if q
@@ -305,7 +305,7 @@ def minors(m, q, cap=DET_CAP):
     for rowsel in itertools.combinations(range(t), q):
         for colsel in itertools.combinations(range(s), q):
             sub = [tuple(m.entries[i][j] for j in colsel) for i in rowsel]
-            out.append(det(m.spec, sub, cap=cap))
+            out.append(det(m.spec, sub))
     return out
 
 
@@ -341,12 +341,9 @@ def reduce_matrix(m):
         del rows[i]
         for row in rows:
             del row[j]
-    t = len(rows)
-    s = len(rows[0]) if rows else max(m.declared_cols - m.declared_rows, 0)
     if rows:
-        return RingMatrix(m.spec, tuple(tuple(r) for r in rows), t, s)
-    removed = m.declared_rows - t
-    return RingMatrix(m.spec, (), 0, m.declared_cols - removed)
+        return RingMatrix(m.spec, tuple(tuple(r) for r in rows), len(rows), len(rows[0]))
+    return RingMatrix(m.spec, (), 0, m.declared_cols - m.declared_rows)
 
 
 def _to_sympy(elem, symbols):

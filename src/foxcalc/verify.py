@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from .catalog import theta_alpha, theta_alpha_prime, theta_presentation
-from .ideals import ideal_equals, ideal_from
-from .invariants import alexander_matrix, elementary_ideal, twisted_matrix
+from .ideals import Ideal, ideal_equals, ideal_from
+from .invariants import alexander_matrix, elementary_ideal, elementary_ideals, twisted_matrix
 from .maps import lemma36_rho
-from .rings import reduce_matrix
 
 
 def theta_case_ideal(spec, n):
@@ -27,12 +26,8 @@ def theta_case_ideal(spec, n):
 
 def _check_chain(m, r, target):
     """E_d of m is (0) for d < r, target at d = r, and (1) at r+1 and r+2."""
-    m = reduce_matrix(m)  # once, for every d
-    return (
-        all(elementary_ideal(m, d).is_zero() for d in range(r))
-        and ideal_equals(elementary_ideal(m, r), target)
-        and all(elementary_ideal(m, d).is_unit() for d in (r + 1, r + 2))
-    )
+    checks = [Ideal.is_zero] * r + [lambda e: ideal_equals(e, target)] + [Ideal.is_unit] * 2
+    return all(ok(e) for ok, e in zip(checks, elementary_ideals(m, range(r + 3))))
 
 
 def check_theorem34(n):

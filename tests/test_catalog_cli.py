@@ -204,6 +204,8 @@ BAD_INPUTS = [
     ["ideal", "< x | x^2 >", "--alpha", "x=t,zz=t@t^2"],  # not a generator
     ["table3", "yoshikawa:0_1", "--k", "1"],  # trivial target
     ["table3", "yoshikawa:0_1", "--k", "-2"],
+    ["table1", "theta:3", "--k", "1"],
+    ["table1", "theta:3", "--k", "0"],
 ]
 
 
@@ -232,6 +234,26 @@ def test_cli_bad_alpha_exit_1(capsys):
     # alpha that does not kill the relator: computation error
     assert main(["ideal", "< x | x^2 >", "--alpha", "x=t@t^inf"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ideal", "< x | x^2 >", "--alpha", "x=t@t^2", "--d", "-1"], "-1 is negative"),
+        (["twisted", "theta:5", "--alpha", "x1=t,x2=t,x3=t,x4=t,x5=t^-4@t^inf",
+          "--rho", "lemma36", "--d", "-1"], "-1 is negative"),
+        (["table1", "theta:3", "--d", "-1"], "-1 is negative"),
+        (["ideal", "< x | x^2 >", "--alpha", "x=t@t^2", "--p", "1"], "1 is not prime"),
+        (["ideal", "< x | x^2 >", "--alpha", "x=t@t^2", "--p", "4"], "4 is not prime"),
+        (["ideal", "< x | x^2 >", "--alpha", "x=t@t^2", "--p=-3"], "-3 is not prime"),
+    ],
+)
+def test_cli_bad_d_or_ideal_p_exit_2(argv, message, capsys):
+    # --d is at least 0; --p on ideal is 0 (meaning Z) or prime
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["reps", "table1", "table3"])

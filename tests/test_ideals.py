@@ -408,7 +408,7 @@ def test_ideal_normalize_unit_does_no_work(monkeypatch):
     def fail(*args):
         raise AssertionError("normal form recomputed for a UNIT ideal")
 
-    for name in ("finite_ideal_span", "strong_groebner", "_gfp_gcd"):
+    for name in ("finite_ideal_span", "strong_groebner"):
         monkeypatch.setattr(ideals_module, name, fail)
     for spec in (Z2T, ring_make(2, (("t", 0),)), ZT, ring_make(0, (("t", 3),))):
         t = spec.monomial((1,))
@@ -418,3 +418,99 @@ def test_ideal_normalize_unit_does_no_work(monkeypatch):
         assert render_ideal(ideal) == "(1)"
         whole = ideal_from(spec, (spec.one(),))
         assert ideal_compare(ideal, whole) is Comparison.EQUAL_PROVEN
+
+
+# ---------------------------------------------------------------------------
+# Z_p[t^±1] through the strong basis with p adjoined, against GF(p) Euclid.
+
+
+def gfp_gcd_reference(a, b, p):
+    """The monic gcd over GF(p) by Euclid's algorithm, as Z_p[t^±1] ideals
+    were normalized before they went through the Z[t] strong basis."""
+    a, b = zp_trim(c % p for c in a), zp_trim(c % p for c in b)
+    while b:
+        a, b = b, gfp_rem_reference(a, b, p)
+    if a:
+        inv = pow(zp_lc(a), -1, p)
+        a = zp_trim((c * inv) % p for c in a)
+    return a
+
+
+def gfp_rem_reference(a, b, p):
+    """a mod b over GF(p), for a and b reduced mod p, b nonzero."""
+    r, db = list(a), zp_deg(b)
+    inv = pow(zp_lc(b), -1, p)
+    for d in range(len(r) - 1, db - 1, -1):
+        f = r[d] * inv % p
+        if f:
+            for j, y in enumerate(b):
+                r[d - db + j] = (r[d - db + j] - f * y) % p
+    return zp_trim(r)
+
+
+def _gcd_of(gens, p):
+    g = ()
+    for e in gens:
+        g = gfp_gcd_reference(g, _to_zpoly(e), p)
+    return g
+
+
+def _render_reference(spec, g):
+    if not g:
+        return "(0)"
+    if zp_deg(g) == 0:
+        return "(1)"
+    return "(" + RingElement(spec, {(d,): c for d, c in enumerate(g) if c}).render() + ")"
+
+
+laurent_terms = st.dictionaries(st.tuples(st.integers(-3, 4)), st.integers(0, 8), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(laurent_terms, min_size=1, max_size=4),
+    st.lists(laurent_terms, min_size=1, max_size=3),
+    laurent_terms,
+    st.integers(-3, 3),
+)
+def test_zp_laurent_ideals_match_gfp_gcd_reference(p, terms_a, terms_b, terms_f, shift):
+    # generators may be zero (empty terms, or all coefficients 0 mod p) or
+    # unit monomials (one term); a shifted copy of the first is added too
+    spec = ring_make(p, (("t", 0),))
+    gens_a = [RingElement(spec, terms) for terms in terms_a]
+    gens_a.append(gens_a[0] * spec.monomial((shift,)))
+    a = ideal_from(spec, tuple(gens_a))
+    b = ideal_from(spec, tuple(RingElement(spec, terms) for terms in terms_b))
+    f = RingElement(spec, terms_f)
+    ga, gb = _gcd_of(gens_a, p), _gcd_of(b.generators, p)
+    assert render_ideal(a) == _render_reference(spec, ga)
+    assert render_ideal(b) == _render_reference(spec, gb)
+    fpoly = _to_zpoly(f)
+    want = not fpoly if not ga else not gfp_rem_reference(fpoly, ga, p)
+    assert ideal_contains(a, f) == want
+    want = Comparison.EQUAL_PROVEN if ga == gb else Comparison.UNEQUAL_PROVEN
+    assert ideal_compare(a, b) is want
+    # the same ideal, generated by shifted multiples and a combination
+    same = tuple(g * spec.monomial((shift,)) for g in gens_a) + (f * gens_a[0],)
+    assert ideal_compare(a, ideal_from(spec, same)) is Comparison.EQUAL_PROVEN
+
+
+def test_minimal_generating_set_is_irredundant():
+    # greedy order keeps the first of each pair, which the second generates:
+    # 1+t+t^2 = (t-1)^2 = (1+2t)^2 over Z_3, 1+t+t^2+t^3 = (1+t)(1+t^2) over Z_2
+    for p, k, gens, want in [
+        (3, 3, ("1+t+t^2", "1+2t"), "1+2t"),
+        (2, 4, ("1+t+t^2+t^3", "1+t^2"), "1+t^2"),
+    ]:
+        spec = ring_make(p, (("t", k),))
+        one, t = spec.one(), spec.monomial((1,))
+        elems = {
+            "1+t+t^2": one + t + t * t,
+            "1+2t": one + t + t,
+            "1+t+t^2+t^3": one + t + t * t + t * t * t,
+            "1+t^2": one + t * t,
+        }
+        ideal = ideal_from(spec, tuple(elems[g] for g in gens))
+        assert render_ideal(ideal) == f"({want})"
+        assert [g.render() for g in minimal_generating_set(ideal)] == [want]

@@ -194,6 +194,12 @@ def test_is_prime_matches_sympy():
         assert is_prime(p) == sympy.isprime(p), p
 
 
+def test_ring_modulus_1_rejected():
+    # Z_1 is the zero ring, where every ideal would render as (0)
+    with pytest.raises(RingError):
+        ring_make(1, (("t", 0),))
+
+
 def test_import_leaves_sympy_unloaded():
     src = str(Path(foxcalc.__file__).resolve().parent.parent)
     code = "import sys, foxcalc; print('sympy' in sys.modules)"
