@@ -22,6 +22,7 @@ from .maps import (
     cyclic_map,
     enumerate_epis,
     enumerate_homs,
+    hom_classes,
     lemma36_rho,
 )
 from .invariants import (

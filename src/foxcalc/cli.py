@@ -20,13 +20,7 @@ from .invariants import (
     surfacelink_invariant,
     twisted_matrix,
 )
-from .maps import (
-    MapError,
-    abelian_map,
-    conjugacy_classes,
-    enumerate_homs,
-    lemma36_rho,
-)
+from .maps import MapError, abelian_map, hom_classes, lemma36_rho
 from .presentations import ParseError
 from .rings import RingError, is_prime
 from . import verify
@@ -138,9 +132,8 @@ def cmd_twisted(args):
 
 def cmd_reps(args):
     pres = _load(args.source)
-    homs = enumerate_homs(pres, n=2, p=args.p)
-    classes = conjugacy_classes(homs)
-    print(f"homomorphisms: {len(homs)}")
+    classes = hom_classes(pres, n=2, p=args.p)
+    print(f"homomorphisms: {sum(size for _, size in classes)}")
     print(f"conjugacy classes: {len(classes)}")
     return 0
 

@@ -8,9 +8,11 @@ import itertools
 from dataclasses import dataclass
 
 from .ideals import ideal_from, ideal_normalize, render_ideal
-from .maps import MatrixRep, conjugacy_classes, cyclic_map, enumerate_epis, enumerate_homs
+from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import content_gcd, normalize_sign
+
+CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
 
 
 class TableKind(enum.Enum):
@@ -25,8 +27,11 @@ class InvariantTable:
     columns: int  # MATRIX_FORM column count; 0 for ROW_FORM
 
     def render(self):
+        """An entry with several generators keeps its parentheses, so that
+        its commas are not read as separating entries."""
         parts = [
-            "(" + ",".join(entries) + f")_{mult}" for entries, mult in self.rows
+            "(" + ",".join(f"({e})" if "," in e else e for e in entries) + f")_{mult}"
+            for entries, mult in self.rows
         ]
         return "{" + ",".join(parts) + "}"
 
@@ -118,10 +123,11 @@ def elementary_ideal(m, d):
 def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
     """Matrix-form invariant: ideals over Conj(G, SL(n;Z_p)) x Epi(G, Z_k).
 
-    Canonical under simultaneous row and column permutation: exhaustive
-    search over column permutations, rows sorted, least matrix kept.
+    Canonical under simultaneous row and column permutation: the least,
+    over all column permutations, of the matrix with its rows sorted,
+    found by least_sorted_rows without trying every permutation.
     """
-    classes = conjugacy_classes(enumerate_homs(pres, n=n, p=p))
+    classes = hom_classes(pres, n=n, p=p)
     epis = enumerate_epis(pres, k)
     raw_rows = []
     for rho, _ in classes:
@@ -130,19 +136,90 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
             ideal = elementary_ideal(twisted_matrix(pres, alpha, rho), d)
             row.append(render_ideal(ideal)[1:-1])
         raw_rows.append(tuple(row))
-    best = None
-    for perm in itertools.permutations(range(len(epis))):
-        candidate = sorted(tuple(row[j] for j in perm) for row in raw_rows)
-        if best is None or candidate < best:
-            best = candidate
-    return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best or []), len(epis))
+    best = least_sorted_rows(raw_rows, len(epis))
+    return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best), len(epis))
+
+
+def least_sorted_rows(rows, columns):
+    """min over permutations perm of the columns of sorted(row permuted by
+    perm for row in rows), by individualization and refinement.
+
+    A search node is an ordered partition of the columns (the permutations
+    taking each cell to its own run of positions) and the rows placed so
+    far.  A row's least image sorts its entries within each cell.  Rows
+    constant on every cell have that image under every such permutation,
+    so those not above the least image of the other rows are placed at
+    once.  The next row placed reaches that least image: the node branches
+    over the rows that do, each splitting every cell by that row's values,
+    ascending, and skips a split already made.  A prefix greater than the
+    best one found is pruned, and a leaf is reached when every row left is
+    constant on every cell, as when the partition is discrete.
+
+    A leaf equal to the best one found differs from it by a column
+    permutation that keeps the rows and maps the best leaf's path onto
+    this one, so the subtree where the two paths part is worth the one
+    already searched and is left (nauty's jump back; McKay and Piperno,
+    "Practical graph isomorphism II", 2014).  More than CANON_NODE_CAP
+    nodes raises MapError.
+    """
+    best = best_path = None
+    nodes = 0
+
+    def search(path, placed, rest):
+        """path: the partition of each node from the root to this one.
+        Returns None, or the depth of the node whose current child is left."""
+        nonlocal best, best_path, nodes
+        nodes += 1
+        if nodes > CANON_NODE_CAP:
+            raise MapError(f"table canonicalization over CANON_NODE_CAP = {CANON_NODE_CAP} nodes")
+        cells = path[-1]
+        fixed, moving = [], []
+        for row in rest:
+            image = tuple(v for cell in cells for v in sorted(row[j] for j in cell))
+            if all(row[j] == row[cell[0]] for cell in cells for j in cell):
+                fixed.append((image, row))
+            else:
+                moving.append((image, row))
+        fixed.sort()
+        if not moving:
+            candidate = placed + [image for image, _ in fixed]
+            if best is None or candidate < best:
+                best, best_path = candidate, path
+            elif candidate == best:
+                return next(i for i, (a, b) in enumerate(zip(path, best_path)) if a != b) - 1
+            return None
+        least = min(image for image, _ in moving)
+        head = [image for image, _ in fixed if image <= least]
+        placed = placed + head + [least]
+        if best is not None and placed > best[: len(placed)]:
+            return None
+        others = [row for _, row in fixed[len(head) :]]
+        splits = set()
+        for i, (image, row) in enumerate(moving):
+            if image != least:
+                continue
+            refined = tuple(
+                tuple(j for j in cell if row[j] == v)
+                for cell in cells
+                for v in sorted({row[j] for j in cell})
+            )
+            if refined not in splits:
+                splits.add(refined)
+                rest = others + [r for j, (_, r) in enumerate(moving) if j != i]
+                jump = search(path + (refined,), placed, rest)
+                if jump is not None and jump < len(path) - 1:
+                    return jump
+        return None
+
+    search(((tuple(range(columns)),) if columns else (),), [], list(rows))
+    return best
 
 
 def surfacelink_invariant(pres, p=2, k=2, n=2):
     """Row-form invariant: per conjugacy class, (E_1, E_2, ...) with the
     trailing run of 1's trimmed to a single terminal 1."""
     alpha = cyclic_map(pres, (1,) * pres.s, k)
-    classes = conjugacy_classes(enumerate_homs(pres, n=n, p=p))
+    classes = hom_classes(pres, n=n, p=p)
     rows = []
     for rho, _ in classes:
         ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), range(1, n * pres.s + 1))

@@ -10,6 +10,7 @@ from math import gcd
 from .rings import is_prime
 
 HOM_TARGET_CAP = 10**4
+HOM_SEARCH_NODE_CAP = 2 * 10**5  # generator images tried by hom_classes
 
 
 class MapError(ValueError):
@@ -130,7 +131,9 @@ class _IndexedGroup:
 
     A product of two elements is computed by mat_mul once, on first use, and
     memoised by index pair.  x^e is read off the cycle of x's powers, so a
-    word costs one lookup per letter whatever its exponents.
+    word costs one lookup per letter whatever its exponents.  Conjugates of
+    an element, and the orbits of a subgroup acting by conjugation, are
+    computed once, on first use.
     """
 
     def __init__(self, n, p, special):
@@ -141,6 +144,8 @@ class _IndexedGroup:
         self.inverse = [self.index[mat_inv(m, p)] for m in self.elements]
         self._products = {}
         self._cycles = {}
+        self._conjugates = {}
+        self._orbits = {}
 
     def find(self, m):
         """Index of a matrix with integer entries, or None if not in the group."""
@@ -163,11 +168,39 @@ class _IndexedGroup:
             self._cycles[i] = cycle
         return cycle[e % len(cycle)]
 
+    def conjugates(self, x):
+        """b x b^-1 for every element b, by index of b."""
+        row = self._conjugates.get(x)
+        if row is None:
+            mul, inverse = self.mul, self.inverse
+            row = tuple(mul(mul(b, x), inverse[b]) for b in range(len(self.elements)))
+            self._conjugates[x] = row
+        return row
+
+    def orbits(self, subgroup):
+        """The orbits of a subgroup (a sorted tuple of indices) acting on the
+        group by conjugation, ascending by least element: per orbit, its least
+        element and that element's stabilizer in the subgroup."""
+        out = self._orbits.get(subgroup)
+        if out is None:
+            seen, out = set(), []
+            for x in range(len(self.elements)):
+                if x not in seen:
+                    row = self.conjugates(x)
+                    seen.update(row[b] for b in subgroup)
+                    out.append((x, tuple(b for b in subgroup if row[b] == x)))
+            self._orbits[subgroup] = out
+        return out
+
     def word(self, letters, images):
         """Index of the image of a word, images[g] being generator g's index."""
-        acc = self.identity
+        acc, products, inverse = self.identity, self._products, self.inverse
         for g, e in letters:
-            acc = self.mul(acc, self.power(images[g], e))
+            x = images[g]
+            if e != 1:
+                x = inverse[x] if e == -1 else self.power(x, e)
+            k = products.get((acc, x))
+            acc = self.mul(acc, x) if k is None else k
         return acc
 
 
@@ -273,56 +306,85 @@ def enumerate_epis(pres, k):
     return out
 
 
-def enumerate_homs(pres, n=2, p=2, special=True):
-    """All homomorphisms into SL/GL(n;Z_p), trivial and non-surjective included.
+def hom_classes(pres, n=2, p=2, special=True):
+    """One homomorphism into SL/GL(n;Z_p) per class under simultaneous
+    conjugation by the target group, trivial and non-surjective included.
 
-    Backtracks over generator images, checking each relator as soon as all
-    generators it mentions are assigned.
+    Returns (representative, class size) pairs; the representative is the
+    class's least member in the order of enumerate_homs, and the classes
+    are sorted by representative, as conjugacy_classes(enumerate_homs(...))
+    gives them.  Backtracks over generator images: the first runs over the
+    least element of each conjugacy class, each later one over the least
+    element of each orbit of the stabilizer of the images so far, and each
+    relator is checked once its last generator has an image.  The class
+    size is the group order over the stabilizer of all images.  More than
+    HOM_SEARCH_NODE_CAP images tried raises MapError.
     """
     group = _indexed_group(n, p, special)
-    s = pres.s
+    order, s = len(group.elements), pres.s
     checks = [[] for _ in range(s)]  # relators by their last generator
     for rel in pres.relators:
         if rel.letters:
             checks[max(g for g, _ in rel.letters)].append(rel.letters)
     images = [group.identity] * s
-    out = []
+    found = []
+    nodes = 0
 
-    def extend(i):
+    def extend(i, stabilizer):
+        nonlocal nodes
         if i == s:
-            out.append(
-                MatrixRep(pres, p, n, tuple(group.elements[x] for x in images), special)
-            )
+            found.append((tuple(images), order // len(stabilizer)))
             return
-        for x in range(len(group.elements)):
+        for x, child in group.orbits(stabilizer):
+            nodes += 1
+            if nodes > HOM_SEARCH_NODE_CAP:
+                raise MapError(
+                    f"hom search over HOM_SEARCH_NODE_CAP = {HOM_SEARCH_NODE_CAP} nodes"
+                )
             images[i] = x
             if all(group.word(letters, images) == group.identity for letters in checks[i]):
-                extend(i + 1)
+                extend(i + 1, child)
 
-    extend(0)
-    return out
+    extend(0, tuple(range(order)))
+    return [(_rep(pres, group, n, special, t), size) for t, size in found]
+
+
+def _rep(pres, group, n, special, indices):
+    return MatrixRep(pres, group.p, n, tuple(group.elements[x] for x in indices), special)
+
+
+def enumerate_homs(pres, n=2, p=2, special=True):
+    """All homomorphisms into SL/GL(n;Z_p), trivial and non-surjective
+    included, in lexicographic order of the generators' images (elements
+    numbered as by matrix_group_elements): the classes of hom_classes,
+    each expanded to all its conjugates."""
+    group = _indexed_group(n, p, special)
+    members = set()
+    for rep, _ in hom_classes(pres, n, p, special):
+        rows = [group.conjugates(x) for x in rep._indices]
+        members.update(tuple(row[b] for row in rows) for b in range(len(group.elements)))
+    return [_rep(pres, group, n, special, t) for t in sorted(members)]
 
 
 def conjugacy_classes(homs):
     """Orbits of homs under simultaneous conjugation by the target group.
 
     Returns (representative, class size) pairs; the representative is the
-    least member in enumeration order, classes sorted by representative.
+    least member in the order of homs, classes sorted by representative.
+    Conjugates every hom in turn; hom_classes finds the classes of all
+    homs of a presentation without listing them.
     """
     if not homs:
         return []
     group = _indexed_group(homs[0].n, homs[0].p, homs[0].special)
-    mul, inverse = group.mul, group.inverse
     position = {h._indices: i for i, h in enumerate(homs)}
     seen = set()
     classes = []
     for i, h in enumerate(homs):
         if i in seen:
             continue
-        orbit = {
-            position[tuple(mul(mul(b, m), inverse[b]) for m in h._indices)]
-            for b in range(len(group.elements))
-        }
+        rows = [group.conjugates(x) for x in h._indices]
+        orbit = {position[tuple(row[b] for row in rows)] for b in range(len(group.elements))}
         seen |= orbit
         classes.append((homs[min(orbit)], len(orbit)))
     return classes

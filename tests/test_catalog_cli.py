@@ -185,6 +185,34 @@ def test_cli_finite_size_cap(capsys):
     assert capsys.readouterr().out == "E_1 = (1)\n"
 
 
+def test_cli_table3_row_render_keeps_parentheses(capsys):
+    # E_2 of one class is (1+t+t^2+t^3,1+2t+t^2+2t^3), one entry, not two
+    assert main(["table3", "yoshikawa:6_1^0,1", "--p", "3", "--k", "4"]) == 0
+    assert ",(0,(1+t+t^2+t^3,1+2t+t^2+2t^3),1)_1," in capsys.readouterr().out
+
+
+def test_cli_hom_search_budget_exit_1(capsys):
+    # 6^12 leaves over SL(2;Z_2); the budget stops the search in seconds
+    assert main(["table3", "theta:12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "HOM_SEARCH_NODE_CAP" in err
+
+
+def test_cli_canonicalization_budget_exit_1(capsys, monkeypatch):
+    from foxcalc import invariants
+
+    # this table takes 10 search nodes to canonicalize
+    monkeypatch.setattr(invariants, "CANON_NODE_CAP", 5)
+    assert main(["table1", "yoshikawa:10_1^0,0,1", "--d", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "CANON_NODE_CAP = 5" in err
+
+
+def test_cli_reps_counts_homs_by_class_sizes(capsys):
+    assert main(["reps", "theta:5"]) == 0
+    assert capsys.readouterr().out == "homomorphisms: 1296\nconjugacy classes: 251\n"
+
+
 def test_cli_verify(capsys):
     assert main(["verify", "theorem3.4", "--n-max", "5"]) == 0
     assert main(["verify", "lemma3.6", "--n-list", "5,7"]) == 0

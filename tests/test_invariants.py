@@ -1,7 +1,9 @@
 """Alexander matrices, elementary ideals, and the two table builders."""
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,15 +16,19 @@ from foxcalc.catalog import (
 from foxcalc.fox import fox_derive
 from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_normalize
 from foxcalc.invariants import (
+    InvariantTable,
+    TableKind,
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
     handlebody_invariant,
+    least_sorted_rows,
     minors_ideal,
     surfacelink_invariant,
     twisted_matrix,
 )
 from foxcalc.maps import (
+    MapError,
     MatrixRep,
     abelian_map,
     cyclic_map,
@@ -228,6 +234,74 @@ def test_handlebody_invariant_free_group():
     table = handlebody_invariant(pres)
     assert table.render() == "{(1,1,1)_11}"
     assert table.columns == 3
+
+
+def test_row_render_keeps_parentheses_of_several_generators():
+    table = InvariantTable(
+        TableKind.ROW_FORM, ((("0", "1+t+t^2", "1+2t,1+t", "1"), 1),), 0
+    )
+    assert table.render() == "{(0,1+t+t^2,(1+2t,1+t),1)_1}"
+    # the stored entries, and so the JSON and the row order, keep no parentheses
+    assert table.to_json()["rows"][0]["entries"][2] == "1+2t,1+t"
+
+
+def brute_force_least_sorted_rows(rows, columns):
+    best = None
+    for perm in itertools.permutations(range(columns)):
+        candidate = sorted(tuple(row[j] for j in perm) for row in rows)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.integers(0, 7))
+    entry = st.sampled_from(draw(st.sampled_from(["0", "01", "012", "0123"])))
+    row = st.tuples(*[entry] * columns)
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.booleans()):  # duplicate rows
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows)), columns
+
+
+@settings(max_examples=250, deadline=None)
+@given(tables())
+def test_least_sorted_rows_matches_permutation_brute_force(table):
+    rows, columns = table
+    assert least_sorted_rows(rows, columns) == brute_force_least_sorted_rows(rows, columns)
+
+
+def test_least_sorted_rows_matches_brute_force_on_dense_binary_tables():
+    # ties between partial tables are common here, which random tables of
+    # few rows rarely reach
+    rng = random.Random(7)
+    for _ in range(1500):
+        columns = rng.randint(2, 5)
+        rows = [tuple(rng.choice("01") for _ in range(columns)) for _ in range(rng.randint(3, 8))]
+        want = brute_force_least_sorted_rows(rows, columns)
+        assert least_sorted_rows(rows, columns) == want, rows
+
+
+def test_least_sorted_rows_edge_cases():
+    assert least_sorted_rows([], 0) == []
+    assert least_sorted_rows([], 5) == []
+    assert least_sorted_rows([(), ()], 0) == [(), ()]
+    assert least_sorted_rows([("0",) * 7] * 5, 7) == [("0",) * 7] * 5
+
+
+def test_least_sorted_rows_symmetric_tables_stay_small(monkeypatch):
+    # every column permutation of these keeps the rows: without jumping back
+    # the search would reach every one of them
+    from foxcalc import invariants
+
+    monkeypatch.setattr(invariants, "CANON_NODE_CAP", 2000)
+    for c in (8, 12, 16):
+        identity = [tuple("1" if i == j else "0" for j in range(c)) for i in range(c)]
+        assert least_sorted_rows(identity, c) == sorted(identity)
+    monkeypatch.setattr(invariants, "CANON_NODE_CAP", 10)
+    with pytest.raises(MapError, match="CANON_NODE_CAP = 10"):
+        least_sorted_rows(identity, 16)
 
 
 def test_table_json_mirror():

@@ -15,6 +15,7 @@ from foxcalc.maps import (
     cyclic_map,
     enumerate_epis,
     enumerate_homs,
+    hom_classes,
     lemma36_rho,
     mat_identity,
     mat_inv,
@@ -254,3 +255,58 @@ def test_lemma36_rejects_other_indices():
     for n in (6, 8, 9):
         with pytest.raises(MapError):
             lemma36_rho(theta_presentation(n), n)
+
+
+# ---------------------------------------------------------------------------
+# The class search against brute force.
+
+
+def brute_force_classes(pres, p):
+    """All homs by itertools.product over the group, classes by conjugating
+    each of them (conjugacy_classes)."""
+    elements = matrix_group_elements(2, p)
+    homs = [MatrixRep(pres, p, 2, images) for images in ref_homs(pres, elements, p)]
+    return homs, conjugacy_classes(homs)
+
+
+def check_against_brute_force(pres, p):
+    homs, classes = brute_force_classes(pres, p)
+    assert [h.images for h in enumerate_homs(pres, n=2, p=p)] == [h.images for h in homs]
+    assert [(r.images, size) for r, size in hom_classes(pres, n=2, p=p)] == [
+        (r.images, size) for r, size in classes
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_classes_match_brute_force_on_surface_links(p):
+    from foxcalc.catalog import YOSHIKAWA_KEYS, catalog_lookup
+
+    for key in YOSHIKAWA_KEYS:
+        check_against_brute_force(catalog_lookup(f"yoshikawa:{key}").presentation, p)
+
+
+@st.composite
+def small_presentations(draw):
+    s = draw(st.integers(2, 3))
+    letter = st.tuples(st.integers(0, s - 1), st.integers(-3, 3).filter(bool))
+    words = st.lists(letter, min_size=1, max_size=5).map(lambda ls: Word(tuple(ls)))
+    relators = draw(st.lists(words, max_size=2))
+    return Presentation(("x", "y", "z")[:s], tuple(relators))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pres=small_presentations(), p=st.sampled_from([2, 3]))
+def test_hom_classes_match_brute_force_on_random_presentations(pres, p):
+    check_against_brute_force(pres, p)
+
+
+def test_hom_search_node_cap(monkeypatch):
+    # theta:5 takes 1,707 search nodes over SL(2;Z_2)
+    from foxcalc import maps
+    from foxcalc.catalog import theta_presentation
+
+    pres = theta_presentation(5)
+    assert len(hom_classes(pres, n=2, p=2)) == 251
+    monkeypatch.setattr(maps, "HOM_SEARCH_NODE_CAP", 1000)
+    with pytest.raises(MapError, match="HOM_SEARCH_NODE_CAP = 1000"):
+        hom_classes(pres, n=2, p=2)
