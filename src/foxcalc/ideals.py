@@ -4,7 +4,8 @@ Normalization dispatches on the ring spec:
 
   (a) finite rings (p > 0, all orders finite): the ideal is a Z_p-subspace
       of the monomial basis, computed by row reduction; displayed via a
-      greedy, then irredundant, generating set.
+      greedy, then irredundant, generating set.  It is the whole ring
+      exactly when the span has one row per monomial.
   (b) univariate rings over Z or Z_p that are not finite: Z, Z[t^±1],
       Z[t]/(t^k - 1) and Z_p[t^±1].  The reduced strong Groebner basis over
       Z[t], built from S-polynomials and gcd-polynomials, gives exact
@@ -12,7 +13,9 @@ Normalization dispatches on the ring spec:
       ideal they generate in Z[t] is saturated by t, so that it is the
       unique preimage of the Laurent ideal; a finite order k adjoins
       t^k - 1, and a modulus p adjoins the constant p.  Over Z_p the basis
-      is {p, g}, g the monic gcd with coefficients in [0, p).
+      is {p, g}, g the monic gcd with coefficients in [0, p).  A render
+      lists the basis elements that are nonzero in the ring, so neither p
+      nor t^k - 1 is printed.
   (c) anything else: generators only; equality falls back to probing in
       finite quotients and is three-valued.
 
@@ -218,7 +221,7 @@ def strong_groebner(gens):
 def _elem_to_vector(elem, monomials, index):
     vec = [0] * len(monomials)
     for exps, c in elem.terms.items():
-        vec[index[exps]] = c % elem.spec.modulus
+        vec[index[exps]] = c
     return vec
 
 
@@ -226,17 +229,23 @@ def _vector_to_elem(spec, vec, monomials):
     return RingElement(spec, {m: c for m, c in zip(monomials, vec) if c})
 
 
+def _reduce_by(row, basis, pivots, p):
+    """row minus its multiples of the echelon rows, over Z_p; entries in
+    [0, p) in and out."""
+    for prow, pcol in zip(basis, pivots):
+        f = row[pcol]
+        if f:
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+    return row
+
+
 def _rref(vectors, p):
     """Reduced row echelon form over Z_p; returns tuple of pivot rows."""
-    rows = [list(v) for v in vectors]
     basis = []
     pivots = []
-    for row in rows:
-        for prow, pcol in zip(basis, pivots):
-            if row[pcol] % p:
-                f = row[pcol] % p
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-        lead = next((i for i, c in enumerate(row) if c % p), None)
+    for row in vectors:
+        row = _reduce_by(row, basis, pivots, p)
+        lead = next((i for i, c in enumerate(row) if c), None)
         if lead is None:
             continue
         inv = pow(row[lead], -1, p)
@@ -256,12 +265,7 @@ def _rref(vectors, p):
 
 
 def _in_span(vec, basis, pivots, p):
-    row = list(vec)
-    for prow, pcol in zip(basis, pivots):
-        if row[pcol] % p:
-            f = row[pcol] % p
-            row = [(a - f * b) % p for a, b in zip(row, prow)]
-    return all(c % p == 0 for c in row)
+    return not any(_reduce_by(vec, basis, pivots, p))
 
 
 def finite_ideal_span(spec, gens):
@@ -396,9 +400,7 @@ def ideal_normalize(ideal):
         if spec.monomial_count() > FINITE_SIZE_CAP or spec.size() > FINITE_SIZE_CAP:
             raise RingError(f"finite ring over FINITE_SIZE_CAP = {FINITE_SIZE_CAP}")
         (basis, pivots), monomials, _ = finite_ideal_span(spec, gens)
-        one_vec = [0] * len(monomials)
-        one_vec[monomials.index((0,) * spec.nvars)] = 1
-        if _in_span(one_vec, basis, pivots, spec.modulus):
+        if len(basis) == len(monomials):
             return Ideal(spec, gens, NormalForm.UNIT)
         if not basis:
             return Ideal(spec, (), NormalForm.ZERO)
@@ -528,15 +530,21 @@ def minimal_generating_set(ideal):
     spec = ideal.spec
     basis, pivots = ideal.data
     if spec.modulus ** len(basis) > DISPLAY_SIZE_CAP:
-        raise RingError("finite ideal too large to display")
+        raise RingError(
+            f"finite ideal of {spec.modulus}^{len(basis)} elements"
+            f" over DISPLAY_SIZE_CAP = {DISPLAY_SIZE_CAP}"
+        )
     elems = [e for e in _finite_elements(spec, basis) if not e.is_zero()]
     elems.sort(key=_elem_sort_key)
-    out = []
+    monomials = spec.all_monomials()
+    index = {m: i for i, m in enumerate(monomials)}
+    out, span = [], ((), ())  # span: echelon rows and pivots of (out)
     for e in elems:
-        if out and ideal_contains(ideal_normalize(ideal_from(spec, tuple(out))), e):
+        if _in_span(_elem_to_vector(e, monomials, index), *span, spec.modulus):
             continue
         out.append(e)
-        if finite_ideal_span(spec, out)[0][0] == basis:
+        span = finite_ideal_span(spec, out)[0]
+        if span[0] == basis:
             break
     for e in tuple(out):
         rest = [g for g in out if g != e]
@@ -554,9 +562,9 @@ def render_ideal(ideal):
     if nf is NormalForm.UNIT:
         return "(1)"
     if nf is NormalForm.GB:
-        p = ideal.spec.modulus  # over Z_p the basis holds p, zero in the ring
-        gens = [_zpoly_to_elem(ideal.spec, g) for g in ideal.data[0] if g != (p,)]
-        return "(" + ",".join(g.render() for g in gens) + ")"
+        # the basis can hold p or t^k - 1, which are zero in the ring
+        gens = [_zpoly_to_elem(ideal.spec, g) for g in ideal.data[0]]
+        return "(" + ",".join(g.render() for g in gens if not g.is_zero()) + ")"
     if nf is NormalForm.FINITE_SET:
         gens = minimal_generating_set(ideal)
         return "(" + ",".join(g.render() for g in gens) + ")"

@@ -77,6 +77,7 @@ def _fox_matrix(pres, alpha, rho, modulus):
             step = alpha.images[g]
             sign, ms = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
             for m in ms:
+                # folded here too, so each block's term map stays within the ring's size
                 exps = spec.reduce_exps(tuple(v + m * d for v, d in zip(vec, step)))
                 mat = group.elements[group.mul(x, group.power(gens[g], m))]
                 for a, b in itertools.product(range(n), repeat=2):

@@ -271,7 +271,10 @@ def matrix_group_elements(n, p, special=True):
     if not is_prime(p):
         raise MapError(f"modulus {p} is not prime")
     if p ** (n * n) > HOM_TARGET_CAP * 10:
-        raise MapError("target matrix space over cap")
+        raise MapError(
+            f"target matrix space of {p}^{n * n} elements"
+            f" over 10 * HOM_TARGET_CAP = {10 * HOM_TARGET_CAP}"
+        )
     out = []
     for flat in itertools.product(range(p), repeat=n * n):
         m = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
@@ -279,7 +282,9 @@ def matrix_group_elements(n, p, special=True):
         if (special and d == 1 % p) or (not special and d != 0):
             out.append(m)
     if len(out) > HOM_TARGET_CAP:
-        raise MapError("target group over cap")
+        raise MapError(
+            f"target group of {len(out)} elements over HOM_TARGET_CAP = {HOM_TARGET_CAP}"
+        )
     return out
 
 

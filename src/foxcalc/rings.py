@@ -4,7 +4,9 @@ A RingSpec fixes a modulus p (0 meaning Z, otherwise prime) and an ordered
 list of variables with orders k_i >= 0 (0 meaning infinite order).  Elements
 are finite maps from exponent vectors to nonzero coefficients; exponents of
 finite-order variables are reduced to least nonnegative residues, so every
-variable is a unit (t_i * t_i^(k_i-1) = 1).
+variable is a unit (t_i * t_i^(k_i-1) = 1).  The RingElement constructor is
+the one place exponents and coefficients are reduced: arithmetic builds raw
+term maps, and the constructor folds and merges them.
 
 Also provides matrices over such rings, division-free determinants and
 minors, an E_d-preserving unit-pivot reduction, and gcd of Laurent
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 DET_CAP = 10
 
@@ -133,18 +135,21 @@ class RingElement:
         if self.spec != other.spec:
             raise RingError("ring spec mismatch")
 
-    def __add__(self, other):
+    def _add_scaled(self, other, sign):
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
+            terms[e] = terms.get(e, 0) + sign * c
         return RingElement(self.spec, terms)
+
+    def __add__(self, other):
+        return self._add_scaled(other, 1)
 
     def __neg__(self):
         return RingElement(self.spec, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add_scaled(other, -1)
 
     def __mul__(self, other):
         self._check(other)
@@ -152,7 +157,6 @@ class RingElement:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                e = self.spec.reduce_exps(e)
                 terms[e] = terms.get(e, 0) + c1 * c2
         return RingElement(self.spec, terms)
 
@@ -267,7 +271,7 @@ def det(spec, rows):
     if any(len(r) != n for r in rows):
         raise RingError("determinant of non-square matrix")
     if n > DET_CAP:
-        raise RingError(f"determinant size {n} over cap {DET_CAP}")
+        raise RingError(f"determinant size {n} over DET_CAP = {DET_CAP}")
     cache = {}
 
     def rec(row, cols):
@@ -282,8 +286,7 @@ def det(spec, rows):
             if a.is_zero():
                 continue
             sub = rec(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = a * sub
-            total = total + (term if pos % 2 == 0 else -term)
+            total = total + a * sub if pos % 2 == 0 else total - a * sub
         cache[key] = total
         return total
 
@@ -346,30 +349,6 @@ def reduce_matrix(m):
     return RingMatrix(m.spec, (), 0, m.declared_cols - m.declared_rows)
 
 
-def _to_sympy(elem, symbols):
-    import sympy
-    shifted = elem.shift_to_origin()
-    expr = sympy.Integer(0)
-    for exps, c in shifted.terms.items():
-        mono = sympy.Integer(c)
-        for sym, e in zip(symbols, exps):
-            mono *= sym**e
-        expr += mono
-    return expr
-
-
-def _from_sympy(spec, expr, symbols):
-    import sympy
-    poly = sympy.Poly(expr, *symbols) if symbols else None
-    terms = {}
-    if symbols:
-        for exps, c in poly.terms():
-            terms[tuple(int(e) for e in exps)] = int(c)
-    else:
-        terms[()] = int(expr)
-    return RingElement(spec, terms)
-
-
 def poly_gcd(a, b):
     """gcd up to units on a genuine Laurent ring (p = 0 or prime, orders 0).
 
@@ -383,18 +362,18 @@ def poly_gcd(a, b):
         raise RingError("gcd needs all variable orders 0")
     if a.is_zero() and b.is_zero():
         return spec.zero()
+    if not spec.nvars:
+        return spec.from_int(gcd(a.terms.get((), 0), b.terms.get((), 0)))
     import sympy
-    symbols = sympy.symbols([n for n, _ in spec.variables]) if spec.nvars else []
-    if spec.nvars == 1:
-        symbols = [symbols[0]]
-    ea, eb = _to_sympy(a, symbols), _to_sympy(b, symbols)
-    if spec.modulus:
-        g = sympy.gcd(sympy.Poly(ea, *symbols, modulus=spec.modulus),
-                      sympy.Poly(eb, *symbols, modulus=spec.modulus)).as_expr()
-    else:
-        g = sympy.gcd(ea, eb)
-    result = _from_sympy(spec, sympy.expand(g), symbols).shift_to_origin()
-    return normalize_sign(result)
+    symbols = [sympy.Symbol(n) for n, _ in spec.variables]
+    options = {"modulus": spec.modulus} if spec.modulus else {}
+    fa, fb = (
+        sympy.Poly.from_dict(e.shift_to_origin().terms, *symbols, **options)
+        for e in (a, b)
+    )
+    g = fa.gcd(fb).as_dict()
+    result = RingElement(spec, {tuple(map(int, e)): int(c) for e, c in g.items()})
+    return normalize_sign(result.shift_to_origin())
 
 
 def normalize_sign(elem):

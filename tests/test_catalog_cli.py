@@ -208,6 +208,38 @@ def test_cli_canonicalization_budget_exit_1(capsys, monkeypatch):
     assert err.startswith("error: ") and "CANON_NODE_CAP = 5" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["table3", "yoshikawa:6_1^0,1", "--k", "16"],
+            "finite ideal of 2^14 elements over DISPLAY_SIZE_CAP = 4096",
+        ),
+        (
+            ["ideal", "< x, y | x y x^-1 y^-1 >", "--alpha", "x=t,y=t@t^16", "--p", "2"],
+            "finite ideal of 2^15 elements over DISPLAY_SIZE_CAP = 4096",
+        ),
+        (
+            ["reps", "yoshikawa:8_1", "--p", "19"],
+            "target matrix space of 19^4 elements over 10 * HOM_TARGET_CAP = 100000",
+        ),
+    ],
+)
+def test_cli_budget_message_names_the_cap(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_ideal_groebner_render_omits_zero_generators(capsys):
+    # over Z[t]/(t^2 - 1) the reduced Z[t] basis of E_1 is {2 + 2t, t^2 - 1}
+    rc = main(["ideal", "< x, y | x^4 y^-4 >", "--alpha", "x=t,y=t@t^2"])
+    assert rc == 0
+    assert capsys.readouterr().out == "E_1 = (2+2t)\n"
+    rc = main(["ideal", "yoshikawa:8_1^-1,-1", "--alpha", "x=t,y=t@t^2", "--d", "0"])
+    assert rc == 0
+    assert capsys.readouterr().out == "E_0 = (2+2t)\n"
+
+
 def test_cli_reps_counts_homs_by_class_sizes(capsys):
     assert main(["reps", "theta:5"]) == 0
     assert capsys.readouterr().out == "homomorphisms: 1296\nconjugacy classes: 251\n"

@@ -12,6 +12,7 @@ import foxcalc.ideals as ideals_module
 from foxcalc.catalog import theta_alpha, theta_presentation
 from foxcalc.ideals import (
     Comparison,
+    NormalForm,
     UndecidableError,
     _ext_gcd,
     _saturate,
@@ -286,6 +287,15 @@ def test_render_ideal():
     assert render_ideal(ideal_from(Z2T, (one + t,))) == "(1+t)"
 
 
+def test_render_ideal_omits_basis_elements_zero_in_ring():
+    # over Z[t]/(t^3 - 1) the reduced Z[t] basis of (3 - 3t) keeps t^3 - 1,
+    # which is zero in the ring, so it is not printed
+    spec = ring_make(0, (("t", 3),))
+    ideal = ideal_normalize(ideal_from(spec, (spec.from_int(3) * (spec.one() - _t(spec)),)))
+    assert ideal.data == (((-3, 3), (-1, 0, 0, 1)),)
+    assert render_ideal(ideal) == "(-3+3t)"
+
+
 def test_quotient_ring_univariate_equality():
     # over Z[t]/(t^3 - 1) the variable is a unit, so (t - 1) = (t^2 - t)
     spec = ring_make(0, (("t", 3),))
@@ -514,3 +524,75 @@ def test_minimal_generating_set_is_irredundant():
         ideal = ideal_from(spec, tuple(elems[g] for g in gens))
         assert render_ideal(ideal) == f"({want})"
         assert [g.render() for g in minimal_generating_set(ideal)] == [want]
+
+
+# Reference greedy: a fresh normalized ideal per candidate and one more span
+# per pick, as minimal_generating_set did before it kept one running span;
+# and the unit test by reducing the vector of 1.
+
+
+def _ref_minimal_generating_set(ideal):
+    ideal = ideal_normalize(ideal)
+    spec = ideal.spec
+    basis, _ = ideal.data
+    elems = [e for e in ideals_module._finite_elements(spec, basis) if not e.is_zero()]
+    elems.sort(key=ideals_module._elem_sort_key)
+    out = []
+    for e in elems:
+        if out and ideal_contains(ideal_normalize(ideal_from(spec, tuple(out))), e):
+            continue
+        out.append(e)
+        if finite_ideal_span(spec, out)[0][0] == basis:
+            break
+    for e in tuple(out):
+        rest = [g for g in out if g != e]
+        if rest and finite_ideal_span(spec, rest)[0][0] == basis:
+            out = rest
+    return tuple(out)
+
+
+def _ref_in_span(vec, basis, pivots, p):
+    row = list(vec)
+    for prow, pcol in zip(basis, pivots):
+        if row[pcol] % p:
+            f = row[pcol] % p
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+    return all(c % p == 0 for c in row)
+
+
+def _ref_is_unit(spec, gens):
+    (basis, pivots), monomials, _ = finite_ideal_span(spec, gens)
+    one_vec = [0] * len(monomials)
+    one_vec[monomials.index((0,) * spec.nvars)] = 1
+    return _ref_in_span(one_vec, basis, pivots, spec.modulus)
+
+
+@st.composite
+def finite_cyclic_ideals(draw):
+    """Generators of an ideal of Z_p[t]/(t^k - 1), p in {2, 3, 5}, k in 2..6,
+    often sharing a factor (t - 1)(t - a)... so that the ideal is proper."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(2, 6))
+    spec = ring_make(p, (("t", k),))
+    exps = st.tuples(st.integers(0, k - 1))
+    elems = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=k)
+    gens = [RingElement(spec, terms) for terms in draw(st.lists(elems, min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        roots = [1] + draw(st.lists(st.integers(1, p - 1), max_size=2))
+        for a in roots:
+            gens = [g * (_t(spec) - spec.from_int(a)) for g in gens]
+    return spec, tuple(gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_cyclic_ideals())
+def test_minimal_generating_set_matches_greedy_reference(case):
+    spec, gens = case
+    ideal = ideal_normalize(ideal_from(spec, gens))
+    nonzero = [g for g in gens if not g.is_zero()]
+    assert ideal.is_unit() == (bool(nonzero) and _ref_is_unit(spec, nonzero))
+    if ideal.normal_form is not NormalForm.FINITE_SET:
+        return
+    want = _ref_minimal_generating_set(ideal)
+    assert minimal_generating_set(ideal) == want
+    assert render_ideal(ideal) == "(" + ",".join(g.render() for g in want) + ")"

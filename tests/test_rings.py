@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foxcalc
 from foxcalc.rings import (
+    RingElement,
     RingError,
     RingMatrix,
     content_gcd,
@@ -56,6 +59,72 @@ def test_ring_axioms_random():
             assert (a + b) + c == a + (b + c)
             assert a * spec.one() == a
             assert (a + (-a)).is_zero()
+
+
+# Reference arithmetic: every product's exponents folded as it is formed,
+# and each result folded and merged again by the constructor, as RingElement
+# did before its constructor became the only place that reduces.
+
+
+def _ref_reduce_exps(spec, exps):
+    return tuple(e % k if k > 0 else e for e, (_, k) in zip(exps, spec.variables))
+
+
+def _ref_fold(spec, terms):
+    clean = {}
+    for exps, c in terms.items():
+        exps = _ref_reduce_exps(spec, exps)
+        c = clean.get(exps, 0) + c
+        c = c % spec.modulus if spec.modulus else c
+        if c:
+            clean[exps] = c
+        elif exps in clean:
+            del clean[exps]
+    return clean
+
+
+def _ref_add(spec, a, b):
+    terms = dict(a)
+    for e, c in b.items():
+        terms[e] = terms.get(e, 0) + c
+    return _ref_fold(spec, terms)
+
+
+def _ref_sub(spec, a, b):
+    return _ref_add(spec, a, _ref_fold(spec, {e: -c for e, c in b.items()}))
+
+
+def _ref_mul(spec, a, b):
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = _ref_reduce_exps(spec, tuple(x + y for x, y in zip(e1, e2)))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return _ref_fold(spec, terms)
+
+
+@st.composite
+def ring_and_term_maps(draw):
+    """A ring Z or Z_p in one or two variables, and two raw term maps whose
+    exponents in [-12, 12] wrap past every finite order."""
+    p = draw(st.sampled_from((0, 2, 3, 5)))
+    orders = draw(st.lists(st.sampled_from((0, 2, 3, 5)), min_size=1, max_size=2))
+    spec = ring_make(p, tuple(zip("tu", orders)))
+    exps = st.tuples(*[st.integers(-12, 12)] * len(orders))
+    terms = st.dictionaries(exps, st.integers(-9, 9), max_size=6)
+    return spec, draw(terms), draw(terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_and_term_maps())
+def test_arithmetic_matches_fold_every_product_reference(case):
+    spec, ta, tb = case
+    a, b = RingElement(spec, ta), RingElement(spec, tb)
+    ra, rb = _ref_fold(spec, ta), _ref_fold(spec, tb)
+    assert a.terms == ra and b.terms == rb
+    assert (a + b).terms == _ref_add(spec, ra, rb)
+    assert (a - b).terms == _ref_sub(spec, ra, rb)
+    assert (a * b).terms == _ref_mul(spec, ra, rb)
 
 
 def test_unit_monomial_inverse():
@@ -116,6 +185,12 @@ def test_det_cap_enforced():
         det(ZT, rows)
 
 
+def test_det_cap_message_names_budget():
+    rows = [[ZT.one()] * 11 for _ in range(11)]
+    with pytest.raises(RingError, match="determinant size 11 over DET_CAP = 10"):
+        det(ZT, rows)
+
+
 def test_minor_count():
     rng = random.Random(23)
     m = RingMatrix.build(
@@ -167,6 +242,67 @@ def test_poly_gcd_basic():
     assert g == normalize_sign((f * (one + t)).shift_to_origin())
     assert poly_gcd(ZT.from_int(4), ZT.from_int(6)) == ZT.from_int(2)
     assert poly_gcd(ZT.zero(), f) == normalize_sign(f)
+
+
+def _ref_poly_gcd(a, b):
+    """poly_gcd through sympy expressions: RingElement -> expression -> Poly
+    -> expression -> Poly -> RingElement, the route it took before it read
+    sympy's dict form.  Needs at least one variable."""
+    import sympy
+
+    spec = a.spec
+    if a.is_zero() and b.is_zero():
+        return spec.zero()
+    symbols = sympy.symbols([n for n, _ in spec.variables])
+    if spec.nvars == 1:
+        symbols = [symbols[0]]
+
+    def to_expr(elem):
+        expr = sympy.Integer(0)
+        for exps, c in elem.shift_to_origin().terms.items():
+            mono = sympy.Integer(c)
+            for sym, e in zip(symbols, exps):
+                mono *= sym**e
+            expr += mono
+        return expr
+
+    ea, eb = to_expr(a), to_expr(b)
+    if spec.modulus:
+        g = sympy.gcd(
+            sympy.Poly(ea, *symbols, modulus=spec.modulus),
+            sympy.Poly(eb, *symbols, modulus=spec.modulus),
+        ).as_expr()
+    else:
+        g = sympy.gcd(ea, eb)
+    poly = sympy.Poly(sympy.expand(g), *symbols)
+    terms = {tuple(int(e) for e in exps): int(c) for exps, c in poly.terms()}
+    return normalize_sign(RingElement(spec, terms).shift_to_origin())
+
+
+@st.composite
+def gcd_operands(draw):
+    """Two elements of Z, Z_2 or Z_3 [t^±1] or [t^±1, u^±1] sharing a random
+    factor; either may be zero or a constant."""
+    p = draw(st.sampled_from((0, 2, 3)))
+    nvars = draw(st.integers(1, 2))
+    spec = ring_make(p, (("t", 0), ("u", 0))[:nvars])
+    exps = st.tuples(*[st.integers(-2, 3)] * nvars)
+    elems = st.one_of(
+        st.just({}),
+        st.integers(-6, 6).map(lambda c: {(0,) * nvars: c}),
+        st.dictionaries(exps, st.integers(-4, 4), max_size=4),
+    )
+    f, g, h = (RingElement(spec, draw(elems)) for _ in range(3))
+    if f.is_zero():
+        f = spec.one()
+    return f * g, f * h
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcd_operands())
+def test_poly_gcd_matches_expression_route_reference(pair):
+    a, b = pair
+    assert poly_gcd(a, b) == _ref_poly_gcd(a, b)
 
 
 def test_content_gcd():
