@@ -3,19 +3,21 @@
 Normalization dispatches on the ring spec:
 
   (a) finite rings (p > 0, all orders finite): the ideal is a Z_p-subspace
-      of the monomial basis, computed by row reduction; displayed via a
-      greedy, then irredundant, generating set.  It is the whole ring
-      exactly when the span has one row per monomial.
+      of the monomial basis, row reduced from the generators' coefficient
+      vectors, whose monomial multiples permute their entries; the whole
+      ring exactly when the span has one row per monomial.  A render is a
+      greedy, then irredundant, generating set of span vectors.
   (b) univariate rings over Z or Z_p that are not finite: Z, Z[t^±1],
       Z[t]/(t^k - 1) and Z_p[t^±1].  The reduced strong Groebner basis over
       Z[t], built from S-polynomials and gcd-polynomials, gives exact
-      membership.  Laurent generators are shifted to polynomials, and the
-      ideal they generate in Z[t] is saturated by t, so that it is the
-      unique preimage of the Laurent ideal; a finite order k adjoins
-      t^k - 1, and a modulus p adjoins the constant p.  Over Z_p the basis
+      membership: full reduction by it takes exactly the members to zero.
+      Laurent generators are shifted to polynomials, and the ideal they
+      generate in Z[t] is saturated by t, so that it is the unique
+      preimage of the Laurent ideal; a finite order k adjoins t^k - 1,
+      and a modulus p adjoins the constant p.  Over Z_p the basis
       is {p, g}, g the monic gcd with coefficients in [0, p).  A render
-      lists the basis elements that are nonzero in the ring, so neither p
-      nor t^k - 1 is printed.
+      lists the images of the basis elements in the ring, each once and
+      none that is zero, so neither p nor t^k - 1 is printed.
   (c) anything else: generators only; equality falls back to probing in
       finite quotients and is three-valued.
 
@@ -134,19 +136,6 @@ def zp_reduce(f, basis):
     return zp_trim(cs)
 
 
-def zp_top_reduces_to_zero(f, basis):
-    """Membership test: top-reduction by a strong Groebner basis."""
-    cs = list(f)
-    for d in range(len(cs) - 1, -1, -1):
-        c = cs[d]
-        if c:
-            g = next((g for g in basis if zp_deg(g) <= d and c % zp_lc(g) == 0), None)
-            if g is None:
-                return False
-            _sub_shifted(cs, g, c // zp_lc(g), d)
-    return True
-
-
 def _sub_shifted(cs, g, q, d):
     """cs -= q * t^(d - deg g) * g, in place."""
     shift = d - zp_deg(g)
@@ -218,15 +207,27 @@ def strong_groebner(gens):
 # Finite-ring linear algebra (Z_p vectors on the monomial basis).
 
 
-def _elem_to_vector(elem, monomials, index):
-    vec = [0] * len(monomials)
+def _monomial_index(spec):
+    """A finite spec's monomials, graded-lex, and the position of each."""
+    monomials = spec.all_monomials()
+    return monomials, {m: i for i, m in enumerate(monomials)}
+
+
+def _elem_to_vector(elem, index):
+    vec = [0] * len(index)
     for exps, c in elem.terms.items():
         vec[index[exps]] = c
     return vec
 
 
-def _vector_to_elem(spec, vec, monomials):
-    return RingElement(spec, {m: c for m, c in zip(monomials, vec) if c})
+def _shifts(spec):
+    """Multiplication by each monomial m permutes a vector's entries: entry
+    j of the product is the entry at the position of (monomial j) / m."""
+    monomials, index = _monomial_index(spec)
+    return [
+        [index[spec.reduce_exps([a - b for a, b in zip(e, m)])] for e in monomials]
+        for m in monomials
+    ]
 
 
 def _reduce_by(row, basis, pivots, p):
@@ -268,16 +269,17 @@ def _in_span(vec, basis, pivots, p):
     return not any(_reduce_by(vec, basis, pivots, p))
 
 
+def _vector_span(vectors, shifts, p):
+    """Echelon rows and pivots of the ideal the Z_p vectors generate, given
+    the spec's _shifts."""
+    return _rref([[vec[i] for i in perm] for vec in vectors for perm in shifts], p)
+
+
 def finite_ideal_span(spec, gens):
-    """Echelon basis of the ideal generated by gens in a finite spec."""
-    monomials = spec.all_monomials()
-    index = {m: i for i, m in enumerate(monomials)}
-    vectors = []
-    for g in gens:
-        for m in monomials:
-            prod_elem = g * spec.monomial(m)
-            vectors.append(_elem_to_vector(prod_elem, monomials, index))
-    return _rref(vectors, spec.modulus), monomials, index
+    """Echelon rows and pivots of the ideal generated by gens in a finite spec."""
+    _, index = _monomial_index(spec)
+    vectors = [_elem_to_vector(g, index) for g in gens]
+    return _vector_span(vectors, _shifts(spec), spec.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,7 @@ def _saturate(gb):
     """Strong basis of J : t^inf from a strong basis of J in Z[t]: the
     canonical preimage of the Laurent ideal that J generates."""
     while True:
-        new = [q for q in _colon_t(gb) if not zp_top_reduces_to_zero(q, gb)]
+        new = [q for q in _colon_t(gb) if zp_reduce(q, gb)]
         if not new:
             return gb
         gb = strong_groebner(gb + tuple(new))
@@ -399,8 +401,8 @@ def ideal_normalize(ideal):
         # p^k needs k bits: compare the monomial count first
         if spec.monomial_count() > FINITE_SIZE_CAP or spec.size() > FINITE_SIZE_CAP:
             raise RingError(f"finite ring over FINITE_SIZE_CAP = {FINITE_SIZE_CAP}")
-        (basis, pivots), monomials, _ = finite_ideal_span(spec, gens)
-        if len(basis) == len(monomials):
+        basis, pivots = finite_ideal_span(spec, gens)
+        if len(basis) == spec.monomial_count():
             return Ideal(spec, gens, NormalForm.UNIT)
         if not basis:
             return Ideal(spec, (), NormalForm.ZERO)
@@ -436,14 +438,11 @@ def ideal_contains(ideal, elem):
     if nf is NormalForm.UNIT:
         return True
     if nf is NormalForm.FINITE_SET:
-        basis, pivots = ideal.data
-        monomials = ideal.spec.all_monomials()
-        index = {m: i for i, m in enumerate(monomials)}
-        return _in_span(
-            _elem_to_vector(elem, monomials, index), basis, pivots, ideal.spec.modulus
-        )
+        _, index = _monomial_index(ideal.spec)
+        return _in_span(_elem_to_vector(elem, index), *ideal.data, ideal.spec.modulus)
     if nf is NormalForm.GB:
-        return zp_top_reduces_to_zero(_to_zpoly(elem), ideal.data[0])
+        # in a strong basis, full reduction takes exactly the members to zero
+        return not zp_reduce(_to_zpoly(elem), ideal.data[0])
     raise UndecidableError("membership undecidable in this ring regime")
 
 
@@ -481,10 +480,8 @@ def probe_compare(a, b):
         return Comparison.UNDETERMINED
     for p, k in PROBES:
         pspec, mapper = _probe_map(spec, p, k)
-        ga = [mapper(g) for g in a.generators]
-        gb = [mapper(g) for g in b.generators]
-        span_a = finite_ideal_span(pspec, ga)[0][0] if ga else ()
-        span_b = finite_ideal_span(pspec, gb)[0][0] if gb else ()
+        span_a = finite_ideal_span(pspec, [mapper(g) for g in a.generators])
+        span_b = finite_ideal_span(pspec, [mapper(g) for g in b.generators])
         if span_a != span_b:
             return Comparison.UNEQUAL_PROVEN
     return Comparison.UNDETERMINED
@@ -505,18 +502,6 @@ def _probe_map(spec, p, k):
 # Display.
 
 
-def _finite_elements(spec, basis):
-    p = spec.modulus
-    monomials = spec.all_monomials()
-    elems = []
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        vec = [0] * len(monomials)
-        for c, row in zip(combo, basis):
-            vec = [(a + c * bcomp) % p for a, bcomp in zip(vec, row)]
-        elems.append(_vector_to_elem(spec, vec, monomials))
-    return elems
-
-
 def _elem_sort_key(elem):
     return tuple((term_key(e), c) for e, c in elem.sorted_terms())
 
@@ -525,32 +510,42 @@ def minimal_generating_set(ideal):
     """Irredundant generating set of a FINITE_SET ideal, canonical order.
 
     Greedy over the nonzero elements in canonical order, then one pass that
-    drops each generator the ones still kept already generate."""
+    drops each generator the ones still kept already generate.  Works on
+    Z_p vectors; only the returned generators become ring elements."""
     ideal = ideal_normalize(ideal)
     spec = ideal.spec
-    basis, pivots = ideal.data
-    if spec.modulus ** len(basis) > DISPLAY_SIZE_CAP:
+    p = spec.modulus
+    basis = ideal.data[0]
+    if p ** len(basis) > DISPLAY_SIZE_CAP:
         raise RingError(
-            f"finite ideal of {spec.modulus}^{len(basis)} elements"
+            f"finite ideal of {p}^{len(basis)} elements"
             f" over DISPLAY_SIZE_CAP = {DISPLAY_SIZE_CAP}"
         )
-    elems = [e for e in _finite_elements(spec, basis) if not e.is_zero()]
-    elems.sort(key=_elem_sort_key)
-    monomials = spec.all_monomials()
-    index = {m: i for i, m in enumerate(monomials)}
+    monomials, _ = _monomial_index(spec)
+    shifts = _shifts(spec)
+    elems = []
+    for combo in itertools.product(range(p), repeat=len(basis)):
+        vec = [0] * len(monomials)
+        for c, row in zip(combo, basis):
+            vec = [(a + c * b) % p for a, b in zip(vec, row)]
+        if any(vec):
+            elems.append(vec)
+    # positions follow graded-lex order, the order of term_key, so this is
+    # the order of _elem_sort_key on the elements
+    elems.sort(key=lambda vec: [(i, c) for i, c in enumerate(vec) if c])
     out, span = [], ((), ())  # span: echelon rows and pivots of (out)
-    for e in elems:
-        if _in_span(_elem_to_vector(e, monomials, index), *span, spec.modulus):
+    for vec in elems:
+        if _in_span(vec, *span, p):
             continue
-        out.append(e)
-        span = finite_ideal_span(spec, out)[0]
+        out.append(vec)
+        span = _vector_span(out, shifts, p)
         if span[0] == basis:
             break
-    for e in tuple(out):
-        rest = [g for g in out if g != e]
-        if rest and finite_ideal_span(spec, rest)[0][0] == basis:
+    for vec in tuple(out):
+        rest = [g for g in out if g != vec]
+        if rest and _vector_span(rest, shifts, p)[0] == basis:
             out = rest
-    return tuple(out)
+    return tuple(RingElement(spec, {m: c for m, c in zip(monomials, vec) if c}) for vec in out)
 
 
 def render_ideal(ideal):
@@ -562,9 +557,10 @@ def render_ideal(ideal):
     if nf is NormalForm.UNIT:
         return "(1)"
     if nf is NormalForm.GB:
-        # the basis can hold p or t^k - 1, which are zero in the ring
-        gens = [_zpoly_to_elem(ideal.spec, g) for g in ideal.data[0]]
-        return "(" + ",".join(g.render() for g in gens if not g.is_zero()) + ")"
+        # the basis can hold p or t^k - 1, which are zero in the ring, and
+        # over Z[t]/(t^k - 1) two of its elements can have the same image
+        images = dict.fromkeys(_zpoly_to_elem(ideal.spec, g).render() for g in ideal.data[0])
+        return "(" + ",".join(r for r in images if r != "0") + ")"
     if nf is NormalForm.FINITE_SET:
         gens = minimal_generating_set(ideal)
         return "(" + ",".join(g.render() for g in gens) + ")"

@@ -217,16 +217,17 @@ def least_sorted_rows(rows, columns):
 
 
 def surfacelink_invariant(pres, p=2, k=2, n=2):
-    """Row-form invariant: per conjugacy class, (E_1, E_2, ...) with the
-    trailing run of 1's trimmed to a single terminal 1."""
+    """Row-form invariant: per conjugacy class, (E_1, E_2, ...) up to the
+    first 1.  E_d ascends with d, and E_{n s} is (1), so none is left out."""
     alpha = cyclic_map(pres, (1,) * pres.s, k)
     classes = hom_classes(pres, n=n, p=p)
     rows = []
     for rho, _ in classes:
-        ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), range(1, n * pres.s + 1))
-        entries = [render_ideal(ideal)[1:-1] for ideal in ideals]
-        while len(entries) >= 2 and entries[-1] == "1" and entries[-2] == "1":
-            entries.pop()
+        m, entries = twisted_matrix(pres, alpha, rho), []
+        for ideal in elementary_ideals(m, range(1, n * pres.s + 1)):
+            entries.append(render_ideal(ideal)[1:-1])
+            if entries[-1] == "1":
+                break
         rows.append(tuple(entries))
     rows.sort(key=lambda r: (len(r), r))
     return InvariantTable(TableKind.ROW_FORM, _merge_rows(rows), 0)

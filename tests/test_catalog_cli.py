@@ -240,6 +240,14 @@ def test_cli_ideal_groebner_render_omits_zero_generators(capsys):
     assert capsys.readouterr().out == "E_0 = (2+2t)\n"
 
 
+def test_cli_ideal_groebner_render_skips_repeated_images(capsys):
+    # over Z[t]/(t^3 - 1) the reduced Z[t] basis of E_1 is {2, t^3 + 1}, and
+    # t^3 + 1 is 2 in the ring
+    rc = main(["ideal", "< x, y | y^2 >", "--alpha", "x=t,y=t^0@t^3", "--d", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out == "E_1 = (2)\n"
+
+
 def test_cli_reps_counts_homs_by_class_sizes(capsys):
     assert main(["reps", "theta:5"]) == 0
     assert capsys.readouterr().out == "homomorphisms: 1296\nconjugacy classes: 251\n"

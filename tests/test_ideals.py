@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +34,10 @@ from foxcalc.ideals import (
     zp_neg,
     zp_reduce,
     zp_scale_shift,
-    zp_top_reduces_to_zero,
     zp_trim,
 )
 from foxcalc.invariants import alexander_matrix, minors_ideal
-from foxcalc.rings import RingElement, ring_make
+from foxcalc.rings import RingElement, RingError, ring_make, term_key
 
 ZT = ring_make(0, (("t", 0),))
 Z2T = ring_make(2, (("t", 2),))
@@ -74,9 +73,9 @@ def test_groebner_membership_closed_under_combinations():
             continue
         basis = strong_groebner(gens)
         for g in gens:
-            assert zp_top_reduces_to_zero(g, basis)
+            assert not zp_reduce(g, basis)
         for _ in range(5):
-            assert zp_top_reduces_to_zero(rand_combination(rng, gens), basis)
+            assert not zp_reduce(rand_combination(rng, gens), basis)
 
 
 def test_groebner_idempotent():
@@ -94,12 +93,12 @@ def test_groebner_idempotent():
 def test_groebner_known_examples():
     # (2, t) is proper: 1 is not a member, 3t + 2 is
     basis = strong_groebner([(2,), (0, 1)])
-    assert not zp_top_reduces_to_zero((1,), basis)
-    assert zp_top_reduces_to_zero((2, 3), basis)
+    assert zp_reduce((1,), basis)
+    assert not zp_reduce((2, 3), basis)
     # (t - 1, t + 1) contains 2, hence equals (2, t + 1)
     basis = strong_groebner([(-1, 1), (1, 1)])
-    assert zp_top_reduces_to_zero((2,), basis)
-    assert not zp_top_reduces_to_zero((1,), basis)
+    assert not zp_reduce((2,), basis)
+    assert zp_reduce((1,), basis)
 
 
 def buchberger_reference(gens):
@@ -185,7 +184,9 @@ def zp_reduce_reference(f, basis):
 
 
 def zp_top_reduces_to_zero_reference(f, basis):
-    """zp_top_reduces_to_zero as it was before it worked in place."""
+    """Membership by top reduction: each leading term must be divided
+    exactly by the leading term of a basis element, as it was tested before
+    membership became full reduction to zero."""
     f = zp_trim(f)
     while f:
         d, c = zp_deg(f), zp_lc(f)
@@ -207,10 +208,10 @@ def test_zp_reduce_matches_reference(f, basis):
     # f as drawn, trailing zeros included; basis in arbitrary order, as the
     # result depends on which element is tried first
     assert zp_reduce(f, basis) == zp_reduce_reference(f, basis)
-    assert zp_top_reduces_to_zero(f, basis) == zp_top_reduces_to_zero_reference(f, basis)
     gb = strong_groebner(basis)
     assert zp_reduce(f, gb) == zp_reduce_reference(f, gb)
-    assert zp_top_reduces_to_zero(f, gb) == zp_top_reduces_to_zero_reference(f, gb)
+    # on a strong basis, membership is full reduction to zero
+    assert (not zp_reduce(f, gb)) == zp_top_reduces_to_zero_reference(f, gb)
 
 
 def test_strong_groebner_matches_reference_on_theta_ideals():
@@ -264,7 +265,7 @@ def test_ideal_compare_trichotomy_univariate():
 
 def test_finite_ring_ideal_span():
     one, t = Z2T.one(), Z2T.monomial((1,))
-    (basis, _), _, _ = finite_ideal_span(Z2T, (one + t,))
+    basis, _ = finite_ideal_span(Z2T, (one + t,))
     # the ideal (1+t) in Z_2[t]/(t^2-1) is {0, 1+t}: a 1-dimensional span
     assert len(basis) == 1
     ideal = ideal_from(Z2T, (one + t,))
@@ -294,6 +295,17 @@ def test_render_ideal_omits_basis_elements_zero_in_ring():
     ideal = ideal_normalize(ideal_from(spec, (spec.from_int(3) * (spec.one() - _t(spec)),)))
     assert ideal.data == (((-3, 3), (-1, 0, 0, 1)),)
     assert render_ideal(ideal) == "(-3+3t)"
+
+
+def test_render_ideal_skips_repeated_images():
+    # over Z[t]/(t^3 - 1) the basis {4, 2 + 2t, t^3 + 3} of (2 + 2t) maps 4
+    # and t^3 + 3 alike, and so does the basis {2, t^3 + 1} of (2)
+    spec = ring_make(0, (("t", 3),))
+    two = spec.from_int(2)
+    ideal = ideal_normalize(ideal_from(spec, (two + two * _t(spec),)))
+    assert ideal.data == (((4,), (2, 2), (3, 0, 0, 1)),)
+    assert render_ideal(ideal) == "(4,2+2t)"
+    assert render_ideal(ideal_from(spec, (two,))) == "(2)"
 
 
 def test_quotient_ring_univariate_equality():
@@ -366,7 +378,7 @@ def test_laurent_membership_matches_shift_reference():
         for f in (combo, _rand_elem(rng, ZT, lo=-2), ZT.one(), _t()):
             if f.is_zero():
                 continue
-            want = zp_top_reduces_to_zero((0,) * n + _to_zpoly(f), j)
+            want = zp_top_reduces_to_zero_reference((0,) * n + _to_zpoly(f), j)
             assert ideal_contains(ideal, f) == want, ([g.render() for g in gens], f)
 
 
@@ -526,6 +538,62 @@ def test_minimal_generating_set_is_irredundant():
         assert [g.render() for g in minimal_generating_set(ideal)] == [want]
 
 
+# Element-based references: the finite span, the enumeration of its elements,
+# their sort key and the greedy as they were before the finite regime worked
+# on Z_p vectors, multiplying ring elements by every monomial.
+
+
+def _ref_vector(elem, index):
+    vec = [0] * len(index)
+    for exps, c in elem.terms.items():
+        vec[index[exps]] = c
+    return vec
+
+
+def _ref_finite_ideal_span(spec, gens):
+    monomials = spec.all_monomials()
+    index = {m: i for i, m in enumerate(monomials)}
+    vectors = [_ref_vector(g * spec.monomial(m), index) for g in gens for m in monomials]
+    return ideals_module._rref(vectors, spec.modulus)
+
+
+def _ref_finite_elements(spec, basis):
+    p = spec.modulus
+    monomials = spec.all_monomials()
+    elems = []
+    for combo in itertools.product(range(p), repeat=len(basis)):
+        vec = [0] * len(monomials)
+        for c, row in zip(combo, basis):
+            vec = [(a + c * bcomp) % p for a, bcomp in zip(vec, row)]
+        elems.append(RingElement(spec, {m: c for m, c in zip(monomials, vec) if c}))
+    return elems
+
+
+def _ref_elem_sort_key(elem):
+    return tuple((term_key(e), c) for e, c in elem.sorted_terms())
+
+
+def _ref_greedy(spec, basis):
+    """Greedy over the nonzero elements with one running span, then the
+    pass that drops redundant generators."""
+    index = {m: i for i, m in enumerate(spec.all_monomials())}
+    elems = [e for e in _ref_finite_elements(spec, basis) if not e.is_zero()]
+    elems.sort(key=_ref_elem_sort_key)
+    out, span = [], ((), ())
+    for e in elems:
+        if _ref_in_span(_ref_vector(e, index), *span, spec.modulus):
+            continue
+        out.append(e)
+        span = _ref_finite_ideal_span(spec, out)
+        if span[0] == basis:
+            break
+    for e in tuple(out):
+        rest = [g for g in out if g != e]
+        if rest and _ref_finite_ideal_span(spec, rest)[0] == basis:
+            out = rest
+    return tuple(out)
+
+
 # Reference greedy: a fresh normalized ideal per candidate and one more span
 # per pick, as minimal_generating_set did before it kept one running span;
 # and the unit test by reducing the vector of 1.
@@ -535,18 +603,18 @@ def _ref_minimal_generating_set(ideal):
     ideal = ideal_normalize(ideal)
     spec = ideal.spec
     basis, _ = ideal.data
-    elems = [e for e in ideals_module._finite_elements(spec, basis) if not e.is_zero()]
-    elems.sort(key=ideals_module._elem_sort_key)
+    elems = [e for e in _ref_finite_elements(spec, basis) if not e.is_zero()]
+    elems.sort(key=_ref_elem_sort_key)
     out = []
     for e in elems:
         if out and ideal_contains(ideal_normalize(ideal_from(spec, tuple(out))), e):
             continue
         out.append(e)
-        if finite_ideal_span(spec, out)[0][0] == basis:
+        if _ref_finite_ideal_span(spec, out)[0] == basis:
             break
     for e in tuple(out):
         rest = [g for g in out if g != e]
-        if rest and finite_ideal_span(spec, rest)[0][0] == basis:
+        if rest and _ref_finite_ideal_span(spec, rest)[0] == basis:
             out = rest
     return tuple(out)
 
@@ -561,7 +629,8 @@ def _ref_in_span(vec, basis, pivots, p):
 
 
 def _ref_is_unit(spec, gens):
-    (basis, pivots), monomials, _ = finite_ideal_span(spec, gens)
+    monomials = spec.all_monomials()
+    basis, pivots = _ref_finite_ideal_span(spec, gens)
     one_vec = [0] * len(monomials)
     one_vec[monomials.index((0,) * spec.nvars)] = 1
     return _ref_in_span(one_vec, basis, pivots, spec.modulus)
@@ -596,3 +665,100 @@ def test_minimal_generating_set_matches_greedy_reference(case):
     want = _ref_minimal_generating_set(ideal)
     assert minimal_generating_set(ideal) == want
     assert render_ideal(ideal) == "(" + ",".join(g.render() for g in want) + ")"
+
+
+# Several variables: every finite ring Z_p[x_1..x_r]/(x_i^k_i - 1) with p in
+# {2, 3, 5}, r in 1..3 and k_i in 2..4 that is within FINITE_SIZE_CAP.
+FINITE_RINGS = [
+    ring_make(p, tuple((f"x{i}", k) for i, k in enumerate(ks)))
+    for p in (2, 3, 5)
+    for r in (1, 2, 3)
+    for ks in itertools.product(range(2, 5), repeat=r)
+    if p ** prod(ks) <= ideals_module.FINITE_SIZE_CAP
+]
+
+
+def _variable(spec, i):
+    return spec.monomial(tuple(int(j == i) for j in range(spec.nvars)))
+
+
+@st.composite
+def finite_multivariate_ideals(draw):
+    """A ring of FINITE_RINGS, generators of an ideal there, often sharing
+    factors x_i - a so that the ideal is proper, and three more elements."""
+    spec = draw(st.sampled_from(FINITE_RINGS))
+    p = spec.modulus
+    exps = st.tuples(*(st.integers(0, k - 1) for _, k in spec.variables))
+    elems = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=3)
+    elems = elems.map(lambda terms: RingElement(spec, terms))
+    gens = draw(st.lists(elems, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(1, p - 1))
+        factor = _variable(spec, draw(st.integers(0, spec.nvars - 1))) - spec.from_int(a)
+        gens = [g * factor for g in gens]
+    return spec, tuple(gens), draw(st.lists(elems, min_size=3, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_multivariate_ideals())
+def test_finite_multivariate_ideals_match_element_reference(case):
+    spec, gens, (f, h1, h2) = case
+    p = spec.modulus
+    ideal = ideal_from(spec, gens)
+    nonzero = [g for g in gens if not g.is_zero()]
+    basis, pivots = _ref_finite_ideal_span(spec, nonzero)
+    if not nonzero:
+        assert render_ideal(ideal) == "(0)"
+    elif len(basis) == spec.monomial_count():
+        assert render_ideal(ideal) == "(1)"
+    elif p ** len(basis) > ideals_module.DISPLAY_SIZE_CAP:
+        with pytest.raises(RingError, match="DISPLAY_SIZE_CAP"):
+            render_ideal(ideal)
+    else:
+        want = _ref_greedy(spec, basis)
+        assert minimal_generating_set(ideal) == want
+        assert render_ideal(ideal) == "(" + ",".join(g.render() for g in want) + ")"
+    index = {m: i for i, m in enumerate(spec.all_monomials())}
+    combo = gens[0] * h1 + gens[-1] * h2
+    for elem in (combo, f, h1 * f):
+        want = _ref_in_span(_ref_vector(elem, index), basis, pivots, p)
+        assert ideal_contains(ideal, elem) == want
+    shifted = tuple(g * _variable(spec, i % spec.nvars) for i, g in enumerate(gens))
+    for other in (shifted + (combo,), gens[1:] + (f,), (f, h1)):
+        span = _ref_finite_ideal_span(spec, [g for g in other if not g.is_zero()])
+        want = Comparison.EQUAL_PROVEN if span == (basis, pivots) else Comparison.UNEQUAL_PROVEN
+        assert ideal_compare(ideal, ideal_from(spec, other)) is want
+
+
+def _ref_probe_compare(a, b):
+    for p, k in ideals_module.PROBES:
+        pspec, mapper = ideals_module._probe_map(a.spec, p, k)
+        span_a = _ref_finite_ideal_span(pspec, [mapper(g) for g in a.generators])
+        span_b = _ref_finite_ideal_span(pspec, [mapper(g) for g in b.generators])
+        if span_a != span_b:
+            return Comparison.UNEQUAL_PROVEN
+    return Comparison.UNDETERMINED
+
+
+@st.composite
+def integral_multivariate_ideal_pairs(draw):
+    """Two ideals over Z in one to three variables of order 0, 2, 3 or 4;
+    the second is often the first with a multiple of a generator added."""
+    orders = draw(st.lists(st.sampled_from((0, 2, 3, 4)), min_size=1, max_size=3))
+    spec = ring_make(0, tuple((f"x{i}", k) for i, k in enumerate(orders)))
+    exps = st.tuples(*(st.integers(-1, 2) for _ in orders))
+    elems = st.dictionaries(exps, st.integers(-2, 2), min_size=1, max_size=3)
+    elems = elems.map(lambda terms: RingElement(spec, terms))
+    a = draw(st.lists(elems, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        b = a + [a[0] * draw(elems)]
+    else:
+        b = draw(st.lists(elems, min_size=1, max_size=2))
+    return ideal_from(spec, tuple(a)), ideal_from(spec, tuple(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_multivariate_ideal_pairs())
+def test_probe_compare_matches_element_reference(pair):
+    a, b = pair
+    assert probe_compare(a, b) is _ref_probe_compare(a, b)
