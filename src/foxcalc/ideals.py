@@ -33,11 +33,11 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .rings import RingElement, RingSpec, RingError, normalize_sign, ring_make, term_key
+from .rings import RingElement, RingSpec, RingError, check_degree, normalize_sign
+from .rings import ring_make, term_key
 
 FINITE_SIZE_CAP = 2**16
 DISPLAY_SIZE_CAP = 2**12
-DEGREE_CAP = 10**6  # of a dense univariate polynomial, t^k - 1 included
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
 
@@ -121,18 +121,32 @@ def _ext_gcd(a, b):
 def zp_reduce(f, basis):
     """Fully reduce f by a set of Z[t] polynomials (Euclidean on coefficients).
 
-    Each coefficient, from the top down, ends up in [0, |lc|) for every basis
-    element whose leading term can reach it.  Works in place on one list.
+    Each coefficient, from the top down, is reduced by the first basis
+    element, in the basis order, whose leading term reaches it and which
+    leaves it outside [0, |lc|), until none does; it then lies in [0, m), m
+    the least |lc| of the elements reaching it.  Those elements change only
+    at their degrees, so a coefficient already in [0, m) costs one test.  A
+    constant tried first acts on each coefficient alone, so it reduces them
+    all in one pass.  Works in place on one list.
     """
     cs = list(f)
-    for d in range(len(cs) - 1, -1, -1):
-        c = cs[d]
-        while c:
-            g = next((g for g in basis if zp_deg(g) <= d and c % abs(zp_lc(g)) != c), None)
-            if g is None:
-                break
-            _sub_shifted(cs, g, (c - c % abs(zp_lc(g))) // zp_lc(g), d)
+    if basis and len(basis[0]) == 1:
+        m = abs(basis[0][0])
+        cs = [c % m for c in cs]
+    pairs = [(g, abs(zp_lc(g))) for g in basis]
+    top = len(cs) - 1
+    for low in sorted({zp_deg(g) for g in basis if zp_deg(g) <= top}, reverse=True):
+        reach = [(g, l) for g, l in pairs if zp_deg(g) <= low]
+        m = min(l for _, l in reach)
+        for d in range(top, low - 1, -1):
             c = cs[d]
+            while not 0 <= c < m:
+                for g, l in reach:  # stops: the element with |lc| = m leaves c out
+                    if not 0 <= c < l:
+                        break
+                _sub_shifted(cs, g, (c - c % l) // zp_lc(g), d)
+                c = cs[d]
+        top = low - 1
     return zp_trim(cs)
 
 
@@ -215,6 +229,9 @@ def _monomial_index(spec):
 
 def _elem_to_vector(elem, index):
     vec = [0] * len(index)
+    if elem.spec.nvars == 1:  # the position of t^e is e
+        vec[elem.valuation : elem.valuation + len(elem.coeffs)] = elem.coeffs
+        return vec
     for exps, c in elem.terms.items():
         vec[index[exps]] = c
     return vec
@@ -320,32 +337,20 @@ def _regime(spec):
     return "other"
 
 
-def _check_degree(d):
-    if d > DEGREE_CAP:
-        raise RingError(f"polynomial degree {d} over DEGREE_CAP = {DEGREE_CAP}")
-
-
 def _to_zpoly(elem):
-    """Univariate ring element -> dense Z[t] polynomial, Laurent-shifted."""
+    """Univariate ring element -> dense Z[t] polynomial, Laurent-shifted:
+    a one-variable element's coefficients, within DEGREE_CAP by construction."""
     if elem.spec.nvars == 0:
-        ((_, c),) = elem.terms.items() if elem.terms else (((), 0),)
+        c = elem.terms.get((), 0)
         return (c,) if c else ()
-    shifted = elem.shift_to_origin()
-    if not shifted.terms:
-        return ()
-    degmax = max(e[0] for e in shifted.terms)
-    _check_degree(degmax)
-    out = [0] * (degmax + 1)
-    for (e,), c in shifted.terms.items():
-        out[e] = c
-    return zp_trim(out)
+    return elem.coeffs
 
 
 def _quotient_modulus_poly(spec):
     """t^k - 1 when the single variable has finite order k, else None."""
     if spec.nvars == 1 and spec.variables[0][1] > 0:
         k = spec.variables[0][1]
-        _check_degree(k)
+        check_degree(k)
         return zp_trim([-1] + [0] * (k - 1) + [1])
     return None
 
@@ -353,7 +358,7 @@ def _quotient_modulus_poly(spec):
 def _zpoly_to_elem(spec, poly):
     if spec.nvars == 0:
         return spec.from_int(poly[0] if poly else 0)
-    return RingElement(spec, {(d,): c for d, c in enumerate(poly) if c})
+    return RingElement(spec, (0, poly))
 
 
 def _colon_t(basis):

@@ -4,13 +4,14 @@ matrix-form and row-form invariant tables."""
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import add
 
 from .ideals import ideal_from, ideal_normalize, render_ideal
 from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
-from .rings import content_gcd, normalize_sign
+from .rings import DEGREE_CAP, check_degree, content_gcd, normalize_sign
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
 
@@ -64,37 +65,84 @@ def _fox_matrix(pres, alpha, rho, modulus):
     """The (rho tensor alpha)-image of the Fox Jacobian of the relators.
 
     One walk per relator carries the prefix's exponent vector and its index
-    in rho's target group; a letter x_g^e adds the |e| terms of its Fox
-    derivative, prefix x_g^m for m = 0..e-1, or -prefix x_g^m for m = -1..e.
+    in rho's target group.  A letter x_g^e adds the |e| terms of its Fox
+    derivative: prefix x_g^m for m = 0..e-1 if e > 0, and -(prefix x_g^e)
+    x_g^m for m = 0..|e|-1 if e < 0.  When every variable x_g moves has
+    finite order, the pair (exponents mod the orders, rho(x_g^m)) has a
+    period in m, so the walk adds at most one period of terms, each times
+    the number of the |e| terms it stands for.  The RingElement constructor
+    folds the exponents.
     """
     spec = ring_make(modulus, alpha.variables)
+    orders = [k for _, k in alpha.variables]
     group, gens = rho.indexed()
-    n, rows = rho.n, []
+    n, s, rows, nonzero = rho.n, pres.s, [], {}
+
+    def advance(vec, x, step, h, e):
+        return tuple(v + e * d for v, d in zip(vec, step)), group.mul(x, group.power(h, e))
+
     for rel in pres.relators:
-        blocks = {}  # (column, a, b) -> {exponent vector: coefficient}
+        _check_walk_degree(rel, alpha, orders)
+        # blocks[column][a][b]: {exponent vector: coefficient}
+        blocks = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(s)]
         vec, x = (0,) * spec.nvars, group.identity
         for g, e in rel.letters:
-            step = alpha.images[g]
-            sign, ms = (1, range(e)) if e > 0 else (-1, range(-1, e - 1, -1))
-            for m in ms:
-                # folded here too, so each block's term map stays within the ring's size
-                exps = spec.reduce_exps(tuple(v + m * d for v, d in zip(vec, step)))
-                mat = group.elements[group.mul(x, group.power(gens[g], m))]
-                for a, b in itertools.product(range(n), repeat=2):
-                    if mat[a][b]:
-                        terms = blocks.setdefault((g, a, b), {})
-                        terms[exps] = terms.get(exps, 0) + sign * mat[a][b]
-            vec = tuple(v + e * d for v, d in zip(vec, step))
-            x = group.mul(x, group.power(gens[g], e))
+            step, h, cells = alpha.images[g], gens[g], blocks[g]
+            sign, count = (1, e) if e > 0 else (-1, -e)
+            if e < 0:
+                vec, x = advance(vec, x, step, h, e)
+            period = _period(step, orders, group.order(h)) if count > 1 else 0
+            steps = min(count, period or count)
+            q, r = divmod(count, steps)
+            exps, y = vec, x
+            for j in range(steps):
+                entries = nonzero.get(y)
+                if entries is None:
+                    mat = group.elements[y]
+                    entries = nonzero[y] = [
+                        (a, b, c) for a in range(n) for b, c in enumerate(mat[a]) if c
+                    ]
+                w = sign * (q + 1 if j < r else q)
+                for a, b, c in entries:
+                    cell = cells[a][b]
+                    cell[exps] = cell.get(exps, 0) + w * c
+                exps, y = tuple(map(add, exps, step)), group.mul(y, h)
+            if e > 0:  # unfolded, the walk ended on the next prefix
+                vec, x = (exps, y) if steps == count else advance(vec, x, step, h, e)
         rows += [
-            tuple(
-                RingElement(spec, blocks.get((j, a, b), {}))
-                for j in range(pres.s)
-                for b in range(n)
-            )
+            tuple(RingElement(spec, cell) for block in blocks for cell in block[a])
             for a in range(n)
         ]
-    return RingMatrix(spec, tuple(rows), n * pres.t, n * pres.s)
+    return RingMatrix(spec, tuple(rows), n * pres.t, n * s)
+
+
+def _period(step, orders, group_order):
+    """A period in m of (the exponents of t^(m * step) mod the orders, x^m),
+    x of the given order; 0 if an infinite-order exponent moves."""
+    period = group_order
+    for d, k in zip(step, orders):
+        if d and not k:
+            return 0
+        if d:
+            period = lcm(period, k // gcd(d, k))
+    return period
+
+
+def _check_walk_degree(rel, alpha, orders):
+    """Refuse, before any term is added, a relator whose Fox terms spread a
+    variable's exponents over more than DEGREE_CAP after folding mod its
+    order: a dense ring element holds the whole spread."""
+    for i, k in enumerate(orders):
+        if 0 < k <= DEGREE_CAP:
+            continue  # folded exponents lie in [0, k)
+        pos, ends = 0, []
+        for g, e in rel.letters:
+            d = alpha.images[g][i]
+            first = pos + min(e, 0) * d  # the letter's terms run from here
+            ends += [first, first + (abs(e) - 1) * d]
+            pos += e * d
+        lo, hi = min(ends, default=0), max(ends, default=0)
+        check_degree(hi - lo if not k or lo // k == hi // k else k - 1)
 
 
 def minors_ideal(m, d):

@@ -158,7 +158,7 @@ class _IndexedGroup:
             self._products[(i, j)] = k
         return k
 
-    def power(self, i, e):
+    def _cycle(self, i):
         cycle = self._cycles.get(i)
         if cycle is None:
             cycle, x = [self.identity], i
@@ -166,7 +166,14 @@ class _IndexedGroup:
                 cycle.append(x)
                 x = self.mul(x, i)
             self._cycles[i] = cycle
+        return cycle
+
+    def power(self, i, e):
+        cycle = self._cycle(i)
         return cycle[e % len(cycle)]
+
+    def order(self, i):
+        return len(self._cycle(i))
 
     def conjugates(self, x):
         """b x b^-1 for every element b, by index of b."""

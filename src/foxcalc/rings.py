@@ -1,12 +1,22 @@
 """Coefficient rings Z and Z_p with Laurent variables modulo t_i^k_i - 1.
 
 A RingSpec fixes a modulus p (0 meaning Z, otherwise prime) and an ordered
-list of variables with orders k_i >= 0 (0 meaning infinite order).  Elements
-are finite maps from exponent vectors to nonzero coefficients; exponents of
-finite-order variables are reduced to least nonnegative residues, so every
-variable is a unit (t_i * t_i^(k_i-1) = 1).  The RingElement constructor is
-the one place exponents and coefficients are reduced: arithmetic builds raw
-term maps, and the constructor folds and merges them.
+list of variables with orders k_i >= 0 (0 meaning infinite order).
+Exponents of finite-order variables are reduced to least nonnegative
+residues, so every variable is a unit (t_i * t_i^(k_i-1) = 1).  An element
+has one of two representations, picked from the number of variables:
+
+  - one variable: dense, a valuation v and a tuple of coefficients, the
+    element t^v (c_0 + c_1 t + ... + c_n t^n) with c_0 and c_n nonzero;
+    sums align the tuples and products convolve them (Knuth, TAOCP vol. 2,
+    section 4.6).  An element whose exponents span more than DEGREE_CAP
+    is refused.
+  - none or several variables: a map from exponent vectors to nonzero
+    coefficients.
+
+The RingElement constructor is the one place exponents and coefficients
+are reduced: arithmetic builds raw runs or term maps, and the constructor
+folds, merges and trims them.
 
 Also provides matrices over such rings, division-free determinants and
 minors, an E_d-preserving unit-pivot reduction, and gcd of Laurent
@@ -18,8 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import add, sub
 
 DET_CAP = 10
+DEGREE_CAP = 10**6  # of a dense univariate polynomial, t^k - 1 included
 
 
 class RingError(ValueError):
@@ -115,24 +127,43 @@ def term_key(exps):
     return (sum(exps), exps)
 
 
-@dataclass(frozen=True)
 class RingElement:
-    spec: RingSpec
-    terms: dict
+    """An element of a RingSpec's ring, treated as immutable.
 
-    def __post_init__(self):
+    RingElement(spec, terms) is the only constructor, and the only place
+    anything is reduced.  terms maps exponent vectors to coefficients; over
+    one variable it may instead be a run (valuation, coefficients), the
+    coefficient of t^(valuation + i) at position i.  A spec with one
+    variable gets a dense element, any other spec this term map.
+    """
+
+    __slots__ = ("spec", "_terms")
+
+    def __new__(cls, spec, terms):
+        return object.__new__(_DenseElement if spec.nvars == 1 else cls)
+
+    def __init__(self, spec, terms):
+        self.spec = spec
         clean = {}
-        for exps, c in self.terms.items():
-            exps = self.spec.reduce_exps(exps)
-            c = self.spec.reduce_coeff(clean.get(exps, 0) + c)
+        for exps, c in terms.items():
+            exps = spec.reduce_exps(exps)
+            c = spec.reduce_coeff(clean.get(exps, 0) + c)
             if c:
                 clean[exps] = c
             elif exps in clean:
                 del clean[exps]
-        object.__setattr__(self, "terms", clean)
+        self._terms = clean
+
+    @property
+    def terms(self):
+        """The nonzero terms, {exponent vector: coefficient}."""
+        return self._terms
+
+    def __reduce__(self):  # copy and pickle through the one constructor
+        return RingElement, (self.spec, self.terms)
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise RingError("ring spec mismatch")
 
     def _add_scaled(self, other, sign):
@@ -210,7 +241,7 @@ class RingElement:
 
     def render(self):
         """Canonical string: terms ascending in graded-lex order, e.g. '1+t'."""
-        if not self.terms:
+        if self.is_zero():
             return "0"
         names = [n for n, _ in self.spec.variables]
         pieces = []
@@ -232,6 +263,147 @@ class RingElement:
         return pieces[0] + "".join(
             piece if piece.startswith("-") else "+" + piece for piece in pieces[1:]
         )
+
+
+class _DenseElement(RingElement):
+    """An element of a one-variable ring: t^valuation times the polynomial
+    with coefficients coeffs, lowest degree first.  The first and last
+    coefficients are nonzero (the zero element: valuation 0, no
+    coefficients), and at finite order k every exponent lies in [0, k)."""
+
+    __slots__ = ("valuation", "coeffs")
+
+    def __init__(self, spec, terms):
+        self.spec = spec
+        k, p = spec.variables[0][1], spec.modulus
+        val, cs = _run_of(terms, k) if isinstance(terms, dict) else terms
+        val, cs = _trimmed(val, cs, p)
+        if k and cs and (val < 0 or val + len(cs) > k):
+            q = val // k
+            if (val + len(cs) - 1) // k == q:  # within one period: a shift
+                val -= q * k
+            else:
+                check_degree(k - 1)
+                cs = [0] * (val % k) + list(cs)
+                val, cs = _trimmed(0, [sum(cs[i::k]) for i in range(k)], p)
+        if len(cs) > DEGREE_CAP + 1:
+            check_degree(len(cs) - 1)
+        self.valuation, self.coeffs = val, cs
+
+    @property
+    def terms(self):
+        return dict(self.sorted_terms())
+
+    def _add_scaled(self, other, sign):
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        va, vb = self.valuation, other.valuation
+        lo = min(va, vb)
+        size = max(va + len(a), vb + len(b)) - lo
+        check_degree(size - 1)
+        out = [0] * size
+        out[va - lo : va - lo + len(a)] = a
+        i, j = vb - lo, vb - lo + len(b)
+        out[i:j] = map(add if sign > 0 else sub, out[i:j], b)
+        return RingElement(self.spec, (lo, out))
+
+    def __neg__(self):
+        return RingElement(self.spec, (self.valuation, [-c for c in self.coeffs]))
+
+    def __mul__(self, other):
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        val = self.valuation + other.valuation
+        if not a or not b:
+            return RingElement(self.spec, (0, ()))
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(b)
+        out = [0] * (len(a) + n - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, b))
+        return RingElement(self.spec, (val, out))
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_one(self):
+        return self.valuation == 0 and self.coeffs == (1,)
+
+    def is_unit_monomial(self):
+        return len(self.coeffs) == 1 and (self.spec.modulus > 0 or self.coeffs[0] in (1, -1))
+
+    def unit_inverse(self):
+        if not self.is_unit_monomial():
+            raise RingError("not a unit monomial")
+        (c,) = self.coeffs
+        p = self.spec.modulus
+        return RingElement(self.spec, (-self.valuation, (c if p == 0 else pow(c, -1, p),)))
+
+    def sorted_terms(self):
+        val = self.valuation
+        return [((val + i,), c) for i, c in enumerate(self.coeffs) if c]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _DenseElement)
+            and self.spec == other.spec
+            and self.valuation == other.valuation
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.spec, self.valuation, self.coeffs))
+
+    def min_exps(self):
+        return (self.valuation,)
+
+    def shift_to_origin(self):
+        return RingElement(self.spec, (0, self.coeffs)) if self.valuation else self
+
+
+def check_degree(d):
+    if d > DEGREE_CAP:
+        raise RingError(f"polynomial degree {d} over DEGREE_CAP = {DEGREE_CAP}")
+
+
+def _run_of(terms, k):
+    """A one-variable term map as a run, its exponents first folded mod k
+    when k > 0."""
+    if not terms:
+        return 0, ()
+    if len(terms) == 1:
+        (((e,), c),) = terms.items()
+        return (e % k if k else e), (c,)
+    exps = [e % k for (e,) in terms] if k else [e for (e,) in terms]
+    lo, hi = min(exps), max(exps)
+    check_degree(hi - lo)
+    cs = [0] * (hi - lo + 1)
+    for e, c in zip(exps, terms.values()):
+        cs[e - lo] += c
+    return lo, cs
+
+
+def _trimmed(val, cs, p):
+    """The run with coefficients reduced mod p (p > 0) and zero ends cut."""
+    if not cs:
+        return 0, ()
+    if p:
+        cs = [c % p for c in cs]
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    lo = 0
+    while not cs[lo]:
+        lo += 1
+    return val + lo, tuple(cs[lo:hi])
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,12 @@ def test_cli_canonicalization_budget_exit_1(capsys, monkeypatch):
             ["reps", "yoshikawa:8_1", "--p", "19"],
             "target matrix space of 19^4 elements over 10 * HOM_TARGET_CAP = 100000",
         ),
+        (
+            # refused before the Fox walk adds a term: E_1's generator would
+            # be 1 + t + ... + t^(10^8 - 1)
+            ["ideal", "< x, y | x^100000000 y^-100000000 >", "--alpha", "x=t,y=t@t^inf"],
+            "polynomial degree 99999999 over DEGREE_CAP = 1000000",
+        ),
     ],
 )
 def test_cli_budget_message_names_the_cap(capsys, argv, message):
@@ -246,6 +252,15 @@ def test_cli_ideal_groebner_render_skips_repeated_images(capsys):
     rc = main(["ideal", "< x, y | y^2 >", "--alpha", "x=t,y=t^0@t^3", "--d", "1"])
     assert rc == 0
     assert capsys.readouterr().out == "E_1 = (2)\n"
+
+
+def test_cli_ideal_long_letter_at_finite_order(capsys):
+    # over Z[t]/(t^2 - 1) the Fox walk adds one period of each letter's
+    # 2^31 - 1 terms: A = (m+1)/2 + (m-1)/2 t has A(1 - t) = 1 - t and
+    # A = m mod (1 - t), so E_1 = (m, m - 1 + t)
+    argv = ["ideal", "< x, y | x^2147483647 y^-2147483647 >", "--alpha", "x=t,y=t@t^2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "E_1 = (2147483647,2147483646+t)\n"
 
 
 def test_cli_reps_counts_homs_by_class_sizes(capsys):

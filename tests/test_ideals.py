@@ -183,6 +183,24 @@ def zp_reduce_reference(f, basis):
     return zp_trim(res)
 
 
+def zp_reduce_scan_reference(f, basis):
+    """zp_reduce as it was before it tested a coefficient against the least
+    |lc| that reaches it: for every coefficient it scans the whole basis for
+    the first element that leaves it outside [0, |lc|)."""
+    cs = list(f)
+    for d in range(len(cs) - 1, -1, -1):
+        c = cs[d]
+        while c:
+            g = next((g for g in basis if zp_deg(g) <= d and c % abs(zp_lc(g)) != c), None)
+            if g is None:
+                break
+            shift, q = d - zp_deg(g), (c - c % abs(zp_lc(g))) // zp_lc(g)
+            for j, x in enumerate(g):
+                cs[shift + j] -= q * x
+            c = cs[d]
+    return zp_trim(cs)
+
+
 def zp_top_reduces_to_zero_reference(f, basis):
     """Membership by top reduction: each leading term must be divided
     exactly by the leading term of a basis element, as it was tested before
@@ -212,6 +230,20 @@ def test_zp_reduce_matches_reference(f, basis):
     assert zp_reduce(f, gb) == zp_reduce_reference(f, gb)
     # on a strong basis, membership is full reduction to zero
     assert (not zp_reduce(f, gb)) == zp_top_reduces_to_zero_reference(f, gb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), max_size=24),
+    st.lists(zpolys.filter(bool), min_size=1, max_size=5),
+    st.sampled_from([(), (2,), (3,), (6,)]),
+)
+def test_zp_reduce_matches_scan_reference(f, gens, constant):
+    # a strong basis, a constant first as over Z_p, and the raw generators in
+    # the order drawn: the choice of reducer is the scan's in every case
+    gb = strong_groebner(gens + ([constant] if constant else []))
+    for basis in (gb, gens, [constant] + gens if constant else gens):
+        assert zp_reduce(f, basis) == zp_reduce_scan_reference(f, basis)
 
 
 def test_strong_groebner_matches_reference_on_theta_ideals():

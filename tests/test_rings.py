@@ -1,7 +1,9 @@
 """Laurent quotient rings, determinants, minors, and matrix reduction."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -103,12 +105,25 @@ def _ref_mul(spec, a, b):
     return _ref_fold(spec, terms)
 
 
+def _ref_render(spec, terms):
+    """The render of a folded term map: terms ascending in graded-lex order."""
+    names = [n for n, _ in spec.variables]
+    pieces = []
+    for exps, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        mono = "".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e != 0)
+        pieces.append(str(c) if not mono else {1: mono, -1: f"-{mono}"}.get(c, f"{c}{mono}"))
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(p if p.startswith("-") else "+" + p for p in pieces[1:])
+
+
 @st.composite
 def ring_and_term_maps(draw):
     """A ring Z or Z_p in one or two variables, and two raw term maps whose
-    exponents in [-12, 12] wrap past every finite order."""
+    exponents in [-12, 12] wrap past every finite order (order 1 folds every
+    exponent to 0)."""
     p = draw(st.sampled_from((0, 2, 3, 5)))
-    orders = draw(st.lists(st.sampled_from((0, 2, 3, 5)), min_size=1, max_size=2))
+    orders = draw(st.lists(st.sampled_from((0, 1, 2, 3, 5)), min_size=1, max_size=2))
     spec = ring_make(p, tuple(zip("tu", orders)))
     exps = st.tuples(*[st.integers(-12, 12)] * len(orders))
     terms = st.dictionaries(exps, st.integers(-9, 9), max_size=6)
@@ -125,6 +140,58 @@ def test_arithmetic_matches_fold_every_product_reference(case):
     assert (a + b).terms == _ref_add(spec, ra, rb)
     assert (a - b).terms == _ref_sub(spec, ra, rb)
     assert (a * b).terms == _ref_mul(spec, ra, rb)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_and_term_maps())
+def test_element_queries_match_fold_reference(case):
+    # one variable is the dense element, two the term map; both must answer
+    # every query as the folded term map does
+    spec, ta, tb = case
+    a, b = RingElement(spec, ta), RingElement(spec, tb)
+    ra, rb = _ref_fold(spec, ta), _ref_fold(spec, tb)
+    p = spec.modulus
+    assert a.sorted_terms() == sorted(ra.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    assert a.render() == _ref_render(spec, ra)
+    assert a.is_zero() == (not ra)
+    assert a.is_one() == (ra == {(0,) * spec.nvars: 1})
+    unit = len(ra) == 1 and (p > 0 or set(ra.values()) <= {1, -1})
+    assert a.is_unit_monomial() == unit
+    if unit:
+        ((exps, c),) = ra.items()
+        inverse = {tuple(-e for e in exps): c if p == 0 else pow(c, -1, p)}
+        assert a.unit_inverse().terms == _ref_fold(spec, inverse)
+    else:
+        with pytest.raises(RingError):
+            a.unit_inverse()
+    lows = [min((e[i] for e in ra), default=0) for i in range(spec.nvars)]
+    shifted = {tuple(e - l for e, l in zip(exps, lows)): c for exps, c in ra.items()}
+    assert a.shift_to_origin().terms == _ref_fold(spec, shifted)
+    assert a.min_exps() == tuple(lows)
+    assert (a == b) == (ra == rb)
+    # the same element from another raw map: exponents moved by twice each
+    # order, coefficients by the modulus
+    other = {
+        tuple(e + 2 * k for e, (_, k) in zip(exps, spec.variables)): c + p
+        for exps, c in ta.items()
+    }
+    twin = RingElement(spec, other)
+    assert twin == a and hash(twin) == hash(a) and twin.terms == ra
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+
+
+def test_dense_element_span_over_degree_cap_refused():
+    with pytest.raises(RingError, match="polynomial degree 1000001 over DEGREE_CAP = 1000000"):
+        RingElement(ZT, {(0,): 1, (10**6 + 1,): 1})
+    with pytest.raises(RingError, match="DEGREE_CAP"):
+        ZT.one() + ZT.monomial((10**6 + 1,))
+    # at order 10^9, t^-1 is t^(10^9 - 1): with 1 it spans the whole order
+    big = ring_make(0, (("t", 10**9),))
+    assert (big.monomial((-1,)) * big.monomial((2,))).render() == "t"
+    with pytest.raises(RingError, match="DEGREE_CAP"):
+        big.monomial((-1,)) + big.one()
+    with pytest.raises(RingError, match="DEGREE_CAP"):
+        RingElement(big, {(-1,): 1, (0,): 1})
 
 
 def test_unit_monomial_inverse():
