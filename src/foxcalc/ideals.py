@@ -33,10 +33,9 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .rings import RingElement, RingSpec, RingError, check_degree, normalize_sign
-from .rings import ring_make, term_key
+from .rings import FINITE_SIZE_CAP, RingElement, RingSpec, RingError, check_degree
+from .rings import finite_size_ok, normalize_sign, ring_make, term_key
 
-FINITE_SIZE_CAP = 2**16
 DISPLAY_SIZE_CAP = 2**12
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
@@ -403,8 +402,7 @@ def ideal_normalize(ideal):
     if not gens:
         return Ideal(spec, (), NormalForm.ZERO)
     if regime == "finite":
-        # p^k needs k bits: compare the monomial count first
-        if spec.monomial_count() > FINITE_SIZE_CAP or spec.size() > FINITE_SIZE_CAP:
+        if not finite_size_ok(spec):
             raise RingError(f"finite ring over FINITE_SIZE_CAP = {FINITE_SIZE_CAP}")
         basis, pivots = finite_ideal_span(spec, gens)
         if len(basis) == spec.monomial_count():

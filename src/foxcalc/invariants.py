@@ -1,9 +1,10 @@
 """Alexander / twisted Alexander matrices, elementary ideals, and the
-matrix-form and row-form invariant tables."""
+matrix-form and row-form tables, their E_d read off the Fox walk's cells."""
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add
@@ -11,7 +12,8 @@ from operator import add
 from .ideals import ideal_from, ideal_normalize, render_ideal
 from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
-from .rings import DEGREE_CAP, check_degree, content_gcd, normalize_sign
+from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, finite_size_ok, normalize_sign
+from .smith import zp_elementary
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
 
@@ -62,7 +64,14 @@ def twisted_matrix(pres, alpha, rho):
 
 
 def _fox_matrix(pres, alpha, rho, modulus):
-    """The (rho tensor alpha)-image of the Fox Jacobian of the relators.
+    spec = ring_make(modulus, alpha.variables)
+    rows = (tuple(RingElement(spec, cell) for cell in row) for row in _fox_rows(pres, alpha, rho))
+    return RingMatrix(spec, tuple(rows), rho.n * pres.t, rho.n * pres.s)
+
+
+def _fox_rows(pres, alpha, rho):
+    """The rows of the (rho tensor alpha)-image of the Fox Jacobian of the
+    relators, n per relator, as lists of cells {exponent vector: coefficient}.
 
     One walk per relator carries the prefix's exponent vector and its index
     in rho's target group.  A letter x_g^e adds the |e| terms of its Fox
@@ -70,13 +79,10 @@ def _fox_matrix(pres, alpha, rho, modulus):
     x_g^m for m = 0..|e|-1 if e < 0.  When every variable x_g moves has
     finite order, the pair (exponents mod the orders, rho(x_g^m)) has a
     period in m, so the walk adds at most one period of terms, each times
-    the number of the |e| terms it stands for.  The RingElement constructor
-    folds the exponents.
+    the number of the |e| terms it stands for.
     """
-    spec = ring_make(modulus, alpha.variables)
     orders = [k for _, k in alpha.variables]
     group, gens = rho.indexed()
-    n, s, rows, nonzero = rho.n, pres.s, [], {}
 
     def advance(vec, x, step, h, e):
         return tuple(v + e * d for v, d in zip(vec, step)), group.mul(x, group.power(h, e))
@@ -84,8 +90,8 @@ def _fox_matrix(pres, alpha, rho, modulus):
     for rel in pres.relators:
         _check_walk_degree(rel, alpha, orders)
         # blocks[column][a][b]: {exponent vector: coefficient}
-        blocks = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(s)]
-        vec, x = (0,) * spec.nvars, group.identity
+        blocks = [[[{} for _ in range(rho.n)] for _ in range(rho.n)] for _ in range(pres.s)]
+        vec, x = (0,) * len(orders), group.identity
         for g, e in rel.letters:
             step, h, cells = alpha.images[g], gens[g], blocks[g]
             sign, count = (1, e) if e > 0 else (-1, -e)
@@ -96,24 +102,15 @@ def _fox_matrix(pres, alpha, rho, modulus):
             q, r = divmod(count, steps)
             exps, y = vec, x
             for j in range(steps):
-                entries = nonzero.get(y)
-                if entries is None:
-                    mat = group.elements[y]
-                    entries = nonzero[y] = [
-                        (a, b, c) for a in range(n) for b, c in enumerate(mat[a]) if c
-                    ]
                 w = sign * (q + 1 if j < r else q)
-                for a, b, c in entries:
+                for a, b, c in group.nonzero[y]:
                     cell = cells[a][b]
                     cell[exps] = cell.get(exps, 0) + w * c
                 exps, y = tuple(map(add, exps, step)), group.mul(y, h)
             if e > 0:  # unfolded, the walk ended on the next prefix
                 vec, x = (exps, y) if steps == count else advance(vec, x, step, h, e)
-        rows += [
-            tuple(RingElement(spec, cell) for block in blocks for cell in block[a])
-            for a in range(n)
-        ]
-    return RingMatrix(spec, tuple(rows), n * pres.t, n * s)
+        for a in range(rho.n):
+            yield [cell for block in blocks for cell in block[a]]
 
 
 def _period(step, orders, group_order):
@@ -158,8 +155,12 @@ def minors_ideal(m, d):
 
 
 def elementary_ideals(m, ds):
-    """E_d in normal form for each d in ds, lazily and in order, from the
-    minors of one unit-pivot reduction of m (which preserves every E_d)."""
+    """E_d in normal form, d in ds, lazily and in order: by smith.py where
+    _by_smith, else from the minors of m's E_d-preserving unit-pivot reduction."""
+    if _by_smith(m.spec):
+        rows = ([(e.valuation, e.coeffs) for e in row] for row in m.entries)
+        ideals = zp_elementary(m.spec, rows, m.declared_rows, m.declared_cols, ds)
+        return (_principal(m.spec, g) for g in ideals)
     m = reduce_matrix(m)
     return (ideal_normalize(minors_ideal(m, d)) for d in ds)
 
@@ -167,6 +168,34 @@ def elementary_ideals(m, ds):
 def elementary_ideal(m, d):
     """E_d of m in normal form."""
     return next(elementary_ideals(m, (d,)))
+
+
+def _by_smith(spec):
+    """One variable over Z_p, and a finite order only within FINITE_SIZE_CAP:
+    a larger ring's E_d, (0), (1) or refused, come from minors, not from an
+    elimination on entries that span up to the order."""
+    return spec.nvars == 1 and spec.modulus and (not spec.is_finite() or finite_size_ok(spec))
+
+
+def _principal(spec, g):
+    """In normal form, the ideal that a zp_elementary generator generates."""
+    return ideal_normalize(ideal_from(spec, (RingElement(spec, (0, g)),)))
+
+
+def _table(spec):
+    """entries(pres, alpha, rho, ds): the E_d of a twisted matrix over spec as
+    table entries, lazily, by zp_elementary on the Fox walk's cells (each
+    generator rendered once per _table), or else from the minors."""
+    render = functools.cache(lambda g: render_ideal(_principal(spec, g))[1:-1])
+
+    def entries(pres, alpha, rho, ds):
+        if not _by_smith(spec):
+            ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), ds)
+            return (render_ideal(e)[1:-1] for e in ideals)
+        rows = ([cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho))
+        return map(render, zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds))
+
+    return entries
 
 
 def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
@@ -178,13 +207,10 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
     """
     classes = hom_classes(pres, n=n, p=p)
     epis = enumerate_epis(pres, k)
+    entries = _table(ring_make(p, (("t", k),)))  # the target of every epi
     raw_rows = []
     for rho, _ in classes:
-        row = []
-        for alpha in epis:
-            ideal = elementary_ideal(twisted_matrix(pres, alpha, rho), d)
-            row.append(render_ideal(ideal)[1:-1])
-        raw_rows.append(tuple(row))
+        raw_rows.append(tuple(next(entries(pres, alpha, rho, (d,))) for alpha in epis))
     best = least_sorted_rows(raw_rows, len(epis))
     return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best), len(epis))
 
@@ -268,13 +294,13 @@ def surfacelink_invariant(pres, p=2, k=2, n=2):
     """Row-form invariant: per conjugacy class, (E_1, E_2, ...) up to the
     first 1.  E_d ascends with d, and E_{n s} is (1), so none is left out."""
     alpha = cyclic_map(pres, (1,) * pres.s, k)
-    classes = hom_classes(pres, n=n, p=p)
+    table_entries = _table(ring_make(p, alpha.variables))
     rows = []
-    for rho, _ in classes:
-        m, entries = twisted_matrix(pres, alpha, rho), []
-        for ideal in elementary_ideals(m, range(1, n * pres.s + 1)):
-            entries.append(render_ideal(ideal)[1:-1])
-            if entries[-1] == "1":
+    for rho, _ in hom_classes(pres, n=n, p=p):
+        entries = []
+        for entry in table_entries(pres, alpha, rho, range(1, n * pres.s + 1)):
+            entries.append(entry)
+            if entry == "1":
                 break
         rows.append(tuple(entries))
     rows.sort(key=lambda r: (len(r), r))

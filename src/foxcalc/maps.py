@@ -146,6 +146,10 @@ class _IndexedGroup:
         self._cycles = {}
         self._conjugates = {}
         self._orbits = {}
+        self.nonzero = [  # per element, its nonzero entries (row, column, value)
+            [(a, b, c) for a, row in enumerate(m) for b, c in enumerate(row) if c]
+            for m in self.elements
+        ]
 
     def find(self, m):
         """Index of a matrix with integer entries, or None if not in the group."""
@@ -362,7 +366,12 @@ def hom_classes(pres, n=2, p=2, special=True):
 
 
 def _rep(pres, group, n, special, indices):
-    return MatrixRep(pres, group.p, n, tuple(group.elements[x] for x in indices), special)
+    """A MatrixRep of images a search has checked, skipping its relator walk."""
+    rep = object.__new__(MatrixRep)
+    images = tuple(group.elements[x] for x in indices)
+    fields = dict(presentation=pres, p=group.p, n=n, images=images, special=special)
+    vars(rep).update(fields, _indices=tuple(indices))
+    return rep
 
 
 def enumerate_homs(pres, n=2, p=2, special=True):

@@ -20,18 +20,21 @@ folds, merges and trims them.
 
 Also provides matrices over such rings, division-free determinants and
 minors, an E_d-preserving unit-pivot reduction, and gcd of Laurent
-polynomials over genuine (all orders 0) Laurent rings.
+polynomials over genuine (all orders 0) Laurent rings, by smith.zp_divisors
+over Z_p in one variable and by sympy otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import add, sub
 
 DET_CAP = 10
 DEGREE_CAP = 10**6  # of a dense univariate polynomial, t^k - 1 included
+MINOR_CAP = 10**5  # q x q minors of one t x s matrix, C(t, q) * C(s, q)
+FINITE_SIZE_CAP = 2**16  # elements of a finite ring whose ideals are spans
 
 
 class RingError(ValueError):
@@ -276,8 +279,7 @@ class _DenseElement(RingElement):
     def __init__(self, spec, terms):
         self.spec = spec
         k, p = spec.variables[0][1], spec.modulus
-        val, cs = _run_of(terms, k) if isinstance(terms, dict) else terms
-        val, cs = _trimmed(val, cs, p)
+        val, cs = cell_run(spec, terms) if isinstance(terms, dict) else _trimmed(*terms, p)
         if k and cs and (val < 0 or val + len(cs) > k):
             q = val // k
             if (val + len(cs) - 1) // k == q:  # within one period: a shift
@@ -370,6 +372,16 @@ class _DenseElement(RingElement):
 def check_degree(d):
     if d > DEGREE_CAP:
         raise RingError(f"polynomial degree {d} over DEGREE_CAP = {DEGREE_CAP}")
+
+
+def finite_size_ok(spec):
+    # p^k needs k bits: compare the monomial count first
+    return spec.monomial_count() <= FINITE_SIZE_CAP and spec.size() <= FINITE_SIZE_CAP
+
+
+def cell_run(spec, terms):
+    """The run of RingElement(spec, terms), one variable, not building it."""
+    return _trimmed(*_run_of(terms, spec.variables[0][1]), spec.modulus)
 
 
 def _run_of(terms, k):
@@ -469,13 +481,16 @@ def minors(m, q):
     """All q x q minors drawn from the declared rows and columns.
 
     Ordered lexicographically by (row subset, column subset).  Empty if q
-    exceeds either dimension.
+    exceeds either dimension.  More than MINOR_CAP of them raises RingError.
     """
     if q < 1:
         raise RingError("minor size must be >= 1")
     t, s = m.declared_rows, m.declared_cols
     if q > t or q > s:
         return []
+    count = comb(t, q) * comb(s, q)
+    if count > MINOR_CAP:
+        raise RingError(f"{count} minors of size {q} over MINOR_CAP = {MINOR_CAP}")
     out = []
     for rowsel in itertools.combinations(range(t), q):
         for colsel in itertools.combinations(range(s), q):
@@ -536,6 +551,10 @@ def poly_gcd(a, b):
         return spec.zero()
     if not spec.nvars:
         return spec.from_int(gcd(a.terms.get((), 0), b.terms.get((), 0)))
+    if spec.nvars == 1 and spec.modulus:  # Euclid: Delta_1 of the 1 x 2 matrix (a b)
+        from .smith import zp_divisors
+        runs = [(e.valuation, e.coeffs) for e in (a, b)]
+        return RingElement(spec, (0, zp_divisors([runs], spec.modulus)[0]))
     import sympy
     symbols = [sympy.Symbol(n) for n, _ in spec.variables]
     options = {"modulus": spec.modulus} if spec.modulus else {}

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +184,31 @@ def test_cli_finite_size_cap(capsys):
     # the whole ring needs no normal form
     assert main(["ideal", "< x | >", "--alpha", "x=t@t^1000000000", "--p", "2"]) == 0
     assert capsys.readouterr().out == "E_1 = (1)\n"
+
+
+def test_cli_minor_cap_exit_1(capsys):
+    # over Z every entry is 1 + t or -(1 + t), so no pivot reduces the 21 x 7
+    # matrix, and E_1 needs C(21, 6) * C(7, 6) minors of size 6
+    gens = [f"x{i}" for i in range(7)]
+    relators = [f"x{i}^2 x{j}^-2" for i, j in itertools.combinations(range(7), 2)]
+    source = f"< {', '.join(gens)} | {', '.join(relators)} >"
+    alpha = ",".join(f"{g}=t" for g in gens) + "@t^inf"
+    assert main(["ideal", source, "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == "error: 379848 minors of size 6 over MINOR_CAP = 100000\n"
+    # over Z_2 E_d comes from invariant factors, not minors: the matrix is
+    # 1 + t times the incidence matrix of K_7, whose invariant factors are
+    # six 1s, so E_1 = ((1 + t)^6)
+    assert main(["ideal", source, "--alpha", alpha, "--p", "2"]) == 0
+    assert capsys.readouterr().out == "E_1 = (1+t^2+t^4+t^6)\n"
+
+
+def test_cli_finite_size_cap_before_an_elimination_over_long_entries(capsys):
+    # over Z_2[t]/(t^999999 - 1) entries such as 1 + t^999996 span almost the
+    # whole order; a ring over FINITE_SIZE_CAP takes E_d from the minors, so
+    # E_1 is refused at once, with no Smith elimination on such entries
+    source = "< x, y | x y x^-1 y^-1, x^2 y x^-2 y^-1 >"
+    assert main(["ideal", source, "--alpha", "x=t^-2,y=t^-3@t^999999", "--p", "2"]) == 1
+    assert capsys.readouterr().err == "error: finite ring over FINITE_SIZE_CAP = 65536\n"
 
 
 def test_cli_table3_row_render_keeps_parentheses(capsys):

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxcalc.catalog import (
+    YOSHIKAWA_KEYS,
+    catalog_lookup,
     theta_alpha,
     theta_presentation,
     theta_wirtinger_alpha,
     theta_wirtinger_presentation,
 )
 from foxcalc.fox import fox_derive
-from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_normalize
+from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_normalize, render_ideal
 from foxcalc.invariants import (
     InvariantTable,
     TableKind,
@@ -32,11 +34,13 @@ from foxcalc.maps import (
     MatrixRep,
     abelian_map,
     cyclic_map,
+    enumerate_epis,
+    hom_classes,
     lemma36_rho,
     matrix_group_elements,
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
-from foxcalc.rings import RingElement, RingMatrix, ring_make
+from foxcalc.rings import RingElement, RingMatrix, reduce_matrix, ring_make
 
 ZT = ring_make(0, (("t", 0),))
 
@@ -227,6 +231,58 @@ def test_surfacelink_rows_sorted_and_merged():
     assert sum(mult for _, mult in rows) == 5  # five conjugacy classes
     lengths = [len(entries) for entries, _ in rows]
     assert lengths == sorted(lengths)
+
+
+def _minors_entry(m, d):
+    """A table entry through the unit-pivot reduction and the minors."""
+    return render_ideal(ideal_normalize(minors_ideal(reduce_matrix(m), d)))[1:-1]
+
+
+def _table_outcome(build):
+    try:
+        return build().render()
+    except MapError as exc:  # alpha does not kill a relator
+        return str(exc)
+
+
+def _reference_surfacelink(pres, p, k, n=2):
+    """surfacelink_invariant from the minors of each reduced twisted matrix."""
+    alpha = cyclic_map(pres, (1,) * pres.s, k)
+    rows = []
+    for rho, _ in hom_classes(pres, n=n, p=p):
+        m, entries = twisted_matrix(pres, alpha, rho), []
+        for d in range(1, n * pres.s + 1):
+            entries.append(_minors_entry(m, d))
+            if entries[-1] == "1":
+                break
+        rows.append(tuple(entries))
+    rows.sort(key=lambda r: (len(r), r))
+    merged = [(row, sum(1 for r in rows if r == row)) for row in dict.fromkeys(rows)]
+    return InvariantTable(TableKind.ROW_FORM, tuple(merged), 0)
+
+
+@pytest.mark.parametrize("key", YOSHIKAWA_KEYS)
+def test_surfacelink_invariant_matches_minors_reference(key):
+    pres = catalog_lookup(f"yoshikawa:{key}").presentation
+    for p in (2, 3):
+        for k in (0, 2, 3):
+            want = _table_outcome(lambda: _reference_surfacelink(pres, p, k))
+            assert _table_outcome(lambda: surfacelink_invariant(pres, p=p, k=k)) == want, (p, k)
+
+
+@pytest.mark.parametrize("source", ["theta:3", "yoshikawa:8_1", "yoshikawa:10_1^0,0,1"])
+def test_handlebody_invariant_matches_minors_reference(source):
+    pres = catalog_lookup(source).presentation
+    for k, d in ((2, 1), (2, 2), (3, 2), (2, 4)):
+        epis = enumerate_epis(pres, k)
+        rows = [
+            tuple(_minors_entry(twisted_matrix(pres, alpha, rho), d) for alpha in epis)
+            for rho, _ in hom_classes(pres, n=2, p=2)
+        ]
+        best = least_sorted_rows(rows, len(epis))
+        merged = tuple((row, best.count(row)) for row in dict.fromkeys(best))
+        want = InvariantTable(TableKind.MATRIX_FORM, merged, len(epis))
+        assert handlebody_invariant(pres, k=k, d=d) == want, (k, d)
 
 
 def test_handlebody_invariant_free_group():

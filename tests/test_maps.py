@@ -186,6 +186,18 @@ def test_class_representative_is_least_member():
         assert size == len(orbit)
 
 
+@pytest.mark.parametrize("source, p", [("< x, y | x y x y^-1 x^-1 y^-1 >", 3), ("< x, y | >", 2)])
+def test_search_made_reps_equal_validated_reps(source, p):
+    # hom_classes and enumerate_homs skip MatrixRep's relator walk for homs
+    # the search has checked
+    pres = parse_presentation(source)
+    reps = [rep for rep, _ in hom_classes(pres, n=2, p=p)] + enumerate_homs(pres, n=2, p=p)
+    for rep in reps:
+        validated = MatrixRep(pres, p, 2, rep.images)
+        assert rep == validated and hash(rep) == hash(validated)
+        assert rep.indexed() == validated.indexed()
+
+
 def test_enumerate_epis_counts_and_order():
     f2 = parse_presentation("< x, y | >")
     epis = enumerate_epis(f2, 2)

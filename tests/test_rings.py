@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foxcalc
+from foxcalc.ideals import ideal_normalize, render_ideal
 from foxcalc.rings import (
     RingElement,
     RingError,
@@ -27,6 +28,7 @@ from foxcalc.rings import (
     reduce_matrix,
     ring_make,
 )
+from foxcalc.smith import zp_divisors
 
 Z2T = ring_make(2, (("t", 2),))
 ZT = ring_make(0, (("t", 0),))
@@ -267,6 +269,17 @@ def test_minor_count():
     assert len(list(minors(m, 3))) == 1 * 4
 
 
+def test_minor_cap_refuses_before_enumerating(monkeypatch):
+    import foxcalc.rings as rings
+
+    m = RingMatrix.build(ZT, [[ZT.one() + ZT.monomial((1,))] * 7 for _ in range(21)])
+    with pytest.raises(RingError, match="379848 minors of size 6 over MINOR_CAP = 100000"):
+        minors(m, 6)
+    monkeypatch.setattr(rings, "det", None)  # not one minor is taken
+    with pytest.raises(RingError, match="MINOR_CAP"):
+        minors(m, 6)
+
+
 def test_reduce_matrix_preserves_elementary_ideals():
     from foxcalc.catalog import theta_alpha, theta_presentation
     from foxcalc.ideals import ideal_equals
@@ -370,6 +383,92 @@ def gcd_operands(draw):
 def test_poly_gcd_matches_expression_route_reference(pair):
     a, b = pair
     assert poly_gcd(a, b) == _ref_poly_gcd(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    *[st.lists(st.integers(0, 6), max_size=12)] * 3,
+    st.integers(-4, 4),
+)
+def test_poly_gcd_over_zp_matches_sympy(p, fa, fb, ff, shift):
+    """One variable over Z_p goes through zp_divisors, not sympy."""
+    spec = ring_make(p, (("t", 0),))
+    f = RingElement(spec, (shift, ff)) if any(c % p for c in ff) else spec.one()
+    a, b = (RingElement(spec, (0, cs)) * f for cs in (fa, fb))
+    assert poly_gcd(a, b) == _ref_poly_gcd(a, b)
+
+
+def test_poly_gcd_over_zp_leaves_sympy_unloaded():
+    src = str(Path(foxcalc.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from foxcalc.rings import RingElement, poly_gcd, ring_make\n"
+        "spec = ring_make(3, (('t', 0),))\n"
+        "a, b = RingElement(spec, (2, (1, 2, 1))), RingElement(spec, (-1, (2, 2)))\n"
+        "print(poly_gcd(a, b).render(), 'sympy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1+t False"  # (1 + t)^2 and -(1 + t) / t
+
+
+def test_zp_divisors_of_a_diagonal_needing_the_fold():
+    # diag(t - 1, t + 1) over Z_3: gcd 1, so Delta_1 = 1 and Delta_2 = t^2 - 1;
+    # the elimination reaches them only by adding one row to the other
+    rows = [[(0, (2, 1)), (0, ())], [(0, ()), (0, (1, 1))]]
+    assert zp_divisors(rows, 3) == [(1,), (2, 0, 1)]
+    # a power of t is a unit: Delta_1 of (t^3 (1 + t), t^-2 (1 + t)^2) is 1 + t
+    assert zp_divisors([[(3, (1, 1)), (-2, (1, 2, 1))]], 3) == [(1, 1)]
+    assert zp_divisors([[(0, ()), (0, ())], [(5, ()), (0, ())]], 2) == []
+
+
+def _outcome(compute):
+    """An ideal's normal form and render, or the RingError that stopped it."""
+    try:
+        ideal = compute()
+    except RingError as exc:
+        return str(exc)
+    try:
+        rendered = render_ideal(ideal)
+    except RingError as exc:
+        rendered = str(exc)
+    return ideal.normal_form, ideal.data, rendered
+
+
+@st.composite
+def zp_matrices(draw):
+    """A matrix of up to 5 x 6 over Z_p[t^±1] or Z_p[t]/(t^k - 1), p in
+    {2, 3, 5, 7} and k in 0..6, with zero rows and rows repeating another
+    row, or a multiple of it by a constant or a power of t."""
+    p, k = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(0, 6))
+    spec = ring_make(p, (("t", k),))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    terms = st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(1, p - 1), max_size=3)
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "repeat", "multiple")))
+        if kind == "zero":
+            rows.append([spec.zero()] * ncols)
+        elif kind in ("repeat", "multiple") and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            unit = spec.monomial((draw(st.integers(-2, 2)),), draw(st.integers(1, p - 1)))
+            rows.append(row if kind == "repeat" else [unit * e for e in row])
+        else:
+            rows.append([RingElement(spec, draw(terms)) for _ in range(ncols)])
+    return RingMatrix(spec, tuple(map(tuple, rows)), nrows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zp_matrices())
+def test_zp_elementary_ideals_match_minors_reference(m):
+    from foxcalc.invariants import elementary_ideal, minors_ideal
+
+    reduced = reduce_matrix(m)
+    for d in range(m.declared_cols + 2):
+        got = _outcome(lambda: elementary_ideal(m, d))
+        assert got == _outcome(lambda: ideal_normalize(minors_ideal(reduced, d))), d
 
 
 def test_content_gcd():
