@@ -37,6 +37,7 @@ from .rings import FINITE_SIZE_CAP, RingElement, RingSpec, RingError, check_degr
 from .rings import finite_size_ok, normalize_sign, ring_make, term_key
 
 DISPLAY_SIZE_CAP = 2**12
+GROEBNER_WORK_CAP = 3 * 10**7  # coefficients one strong_groebner's reductions touch
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
 
@@ -117,7 +118,7 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def zp_reduce(f, basis):
+def zp_reduce(f, basis, work=None):
     """Fully reduce f by a set of Z[t] polynomials (Euclidean on coefficients).
 
     Each coefficient, from the top down, is reduced by the first basis
@@ -126,7 +127,9 @@ def zp_reduce(f, basis):
     the least |lc| of the elements reaching it.  Those elements change only
     at their degrees, so a coefficient already in [0, m) costs one test.  A
     constant tried first acts on each coefficient alone, so it reduces them
-    all in one pass.  Works in place on one list.
+    all in one pass.  Works in place on one list.  work: None, or a
+    one-item list holding what is left of a budget, which each subtraction
+    charges by the length of the basis element it subtracts.
     """
     cs = list(f)
     if basis and len(basis[0]) == 1:
@@ -145,6 +148,13 @@ def zp_reduce(f, basis):
                         break
                 _sub_shifted(cs, g, (c - c % l) // zp_lc(g), d)
                 c = cs[d]
+                if work is not None:
+                    work[0] -= len(g)
+                    if work[0] < 0:
+                        raise RingError(
+                            f"Groebner basis over GROEBNER_WORK_CAP = {GROEBNER_WORK_CAP}"
+                            " coefficient operations"
+                        )
         top = low - 1
     return zp_trim(cs)
 
@@ -187,8 +197,9 @@ def strong_groebner(gens):
     to the queue every basis element whose leading term r's divides, so the
     basis stays minimal, and queues its S- and G-polynomials with each
     element that stays.  Terminates because leading terms strictly improve.
+    Its reductions touch at most GROEBNER_WORK_CAP coefficients.
     """
-    basis, queue = [], []
+    basis, queue, work = [], [], [GROEBNER_WORK_CAP]
 
     def push(f):
         if f:
@@ -197,7 +208,7 @@ def strong_groebner(gens):
     for g in gens:
         push(zp_trim(g))
     while queue:
-        r = zp_reduce(heapq.heappop(queue)[2], basis)
+        r = zp_reduce(heapq.heappop(queue)[2], basis, work)
         if not r:
             continue
         if zp_lc(r) < 0:
@@ -212,7 +223,7 @@ def strong_groebner(gens):
         basis.append(r)
     # fully interreduce for a canonical presentation; in a minimal strong
     # basis no element's leading term reduces, so each stays positive
-    reduced = [zp_reduce(g, basis[:i] + basis[i + 1 :]) for i, g in enumerate(basis)]
+    reduced = [zp_reduce(g, basis[:i] + basis[i + 1 :], work) for i, g in enumerate(basis)]
     return tuple(sorted(reduced, key=lambda g: (zp_deg(g), g)))
 
 

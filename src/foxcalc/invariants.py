@@ -10,7 +10,7 @@ from math import gcd, lcm
 from operator import add
 
 from .ideals import ideal_from, ideal_normalize, render_ideal
-from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes
+from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, gl_twins, hom_classes
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, finite_size_ok, normalize_sign
 from .smith import zp_elementary
@@ -187,9 +187,10 @@ def _table(spec):
     table entries, lazily, by zp_elementary on the Fox walk's cells (each
     generator rendered once per _table), or else from the minors."""
     render = functools.cache(lambda g: render_ideal(_principal(spec, g))[1:-1])
+    by_smith = _by_smith(spec)
 
     def entries(pres, alpha, rho, ds):
-        if not _by_smith(spec):
+        if not by_smith:
             ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), ds)
             return (render_ideal(e)[1:-1] for e in ideals)
         rows = ([cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho))
@@ -203,14 +204,17 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
 
     Canonical under simultaneous row and column permutation: the least,
     over all column permutations, of the matrix with its rows sorted,
-    found by least_sorted_rows without trying every permutation.
+    found by least_sorted_rows without trying every permutation.  A row is
+    evaluated once per GL(n;Z_p)-class of classes, whose twisted matrices
+    are equivalent, M' = (I_t (x) P) M (I_s (x) P^-1), see _per_gl_class.
     """
-    classes = hom_classes(pres, n=n, p=p)
     epis = enumerate_epis(pres, k)
     entries = _table(ring_make(p, (("t", k),)))  # the target of every epi
-    raw_rows = []
-    for rho, _ in classes:
-        raw_rows.append(tuple(next(entries(pres, alpha, rho, (d,))) for alpha in epis))
+
+    def row(rho):
+        return tuple(next(entries(pres, alpha, rho, (d,))) for alpha in epis)
+
+    raw_rows = list(_per_gl_class(hom_classes(pres, n=n, p=p), row))
     best = least_sorted_rows(raw_rows, len(epis))
     return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best), len(epis))
 
@@ -292,19 +296,39 @@ def least_sorted_rows(rows, columns):
 
 def surfacelink_invariant(pres, p=2, k=2, n=2):
     """Row-form invariant: per conjugacy class, (E_1, E_2, ...) up to the
-    first 1.  E_d ascends with d, and E_{n s} is (1), so none is left out."""
+    first 1.  E_d ascends with d, and E_{n s} is (1), so none is left out.
+    A row is evaluated once per GL(n;Z_p)-class of classes, whose twisted
+    matrices are equivalent, M' = (I_t (x) P) M (I_s (x) P^-1), see
+    _per_gl_class."""
     alpha = cyclic_map(pres, (1,) * pres.s, k)
     table_entries = _table(ring_make(p, alpha.variables))
-    rows = []
-    for rho, _ in hom_classes(pres, n=n, p=p):
+
+    def row(rho):
         entries = []
         for entry in table_entries(pres, alpha, rho, range(1, n * pres.s + 1)):
             entries.append(entry)
             if entry == "1":
                 break
-        rows.append(tuple(entries))
-    rows.sort(key=lambda r: (len(r), r))
+        return tuple(entries)
+
+    rows = sorted(_per_gl_class(hom_classes(pres, n=n, p=p), row), key=lambda r: (len(r), r))
     return InvariantTable(TableKind.ROW_FORM, _merge_rows(rows), 0)
+
+
+def _per_gl_class(classes, row):
+    """row(rho) for each class of hom_classes, lazily, evaluated once per
+    GL(n;Z_p)-class of SL(n;Z_p)-classes: the first class met of a GL-class
+    lends its row to its gl_twins.  A P in GL(n;Z_p) conjugating rho to
+    rho' makes their twisted matrices equivalent over Z_p, M' = (I_t (x) P)
+    M (I_s (x) P^-1), so the two have the same E_d (Wada, Topology 33,
+    1994)."""
+    lent = {}
+    for rho, _ in classes:
+        r = lent.pop(rho.indexed()[1], None)
+        if r is None:
+            r = row(rho)
+            lent.update(dict.fromkeys(gl_twins(rho), r))
+        yield r
 
 
 def _merge_rows(rows):

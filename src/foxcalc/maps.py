@@ -132,12 +132,12 @@ class _IndexedGroup:
     A product of two elements is computed by mat_mul once, on first use, and
     memoised by index pair.  x^e is read off the cycle of x's powers, so a
     word costs one lookup per letter whatever its exponents.  Conjugates of
-    an element, and the orbits of a subgroup acting by conjugation, are
-    computed once, on first use.
+    an element, the orbits of a subgroup acting by conjugation, the least
+    element of each orbit and the twist are computed once, on first use.
     """
 
     def __init__(self, n, p, special):
-        self.p = p
+        self.p, self.special = p, special
         self.elements = matrix_group_elements(n, p, special)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.identity = self.index[mat_identity(n)]
@@ -146,6 +146,7 @@ class _IndexedGroup:
         self._cycles = {}
         self._conjugates = {}
         self._orbits = {}
+        self._leaders = {}
         self.nonzero = [  # per element, its nonzero entries (row, column, value)
             [(a, b, c) for a, row in enumerate(m) for b, c in enumerate(row) if c]
             for m in self.elements
@@ -190,18 +191,70 @@ class _IndexedGroup:
 
     def orbits(self, subgroup):
         """The orbits of a subgroup (a sorted tuple of indices) acting on the
-        group by conjugation, ascending by least element: per orbit, its least
-        element and that element's stabilizer in the subgroup."""
+        group by conjugation, ascending by least element: each orbit's least
+        element mapped to that element's stabilizer in the subgroup."""
         out = self._orbits.get(subgroup)
         if out is None:
-            seen, out = set(), []
+            seen, out = set(), {}
             for x in range(len(self.elements)):
                 if x not in seen:
                     row = self.conjugates(x)
                     seen.update(row[b] for b in subgroup)
-                    out.append((x, tuple(b for b in subgroup if row[b] == x)))
+                    out[x] = tuple(b for b in subgroup if row[b] == x)
             self._orbits[subgroup] = out
         return out
+
+    @functools.cached_property
+    def everything(self):
+        """The whole group, as a subgroup."""
+        return tuple(range(len(self.elements)))
+
+    def leaders(self, subgroup):
+        """Per element, the least element of its orbit under a subgroup
+        acting by conjugation, and an element of the subgroup conjugating it
+        there, read off the rows of the orbits' least elements."""
+        out = self._leaders.get(subgroup)
+        if out is None:
+            out = self._leaders[subgroup] = {}
+            for x in self.orbits(subgroup):
+                row = self.conjugates(x)
+                for b in subgroup:
+                    out[row[b]] = (x, self.inverse[b])
+        return out
+
+    def least_conjugate(self, images):
+        """The least tuple, index by index, simultaneously conjugate to a
+        tuple of elements: for the images of a hom, the representative
+        hom_classes gives its class.  Walks the search's stabilizer chain:
+        each image, conjugated by the conjugator so far, goes to the least
+        element of its orbit under the stabilizer of the images before it."""
+        mul, inverse = self.mul, self.inverse
+        sub, c, out = self.everything, self.identity, []
+        for y in images:
+            x, b = self.leaders(sub)[mul(mul(c, y), inverse[c])]
+            out.append(x)
+            c, sub = mul(b, c), self.orbits(sub)[x]
+        return tuple(out)
+
+    @functools.cached_property
+    def twist(self):
+        """Conjugation by diag(g, 1, ..., 1), g the least generator of
+        Z_p^*, as a permutation of indices: it scales row 0 by g and column 0
+        by g^-1.  Every matrix of GL(n;Z_p) is a power of diag(g, 1, ..., 1)
+        times one of SL(n;Z_p), so the twist's powers take an SL-class to
+        each of its GL-conjugates.  None over GL, where conjugation by it is
+        inner, and at p = 2, where it is the identity."""
+        p = self.p
+        if not self.special or p == 2:
+            return None
+        g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p)}) == p - 1)
+        d = [g] + [1] * (len(self.elements[0]) - 1)
+        d_inv = [pow(c, -1, p) for c in d]
+
+        def conjugate(m):
+            return tuple(tuple(a * c * b % p for c, b in zip(row, d_inv)) for a, row in zip(d, m))
+
+        return tuple(self.index[conjugate(m)] for m in self.elements)
 
     def word(self, letters, images):
         """Index of the image of a word, images[g] being generator g's index."""
@@ -351,7 +404,7 @@ def hom_classes(pres, n=2, p=2, special=True):
         if i == s:
             found.append((tuple(images), order // len(stabilizer)))
             return
-        for x, child in group.orbits(stabilizer):
+        for x, child in group.orbits(stabilizer).items():
             nodes += 1
             if nodes > HOM_SEARCH_NODE_CAP:
                 raise MapError(
@@ -361,8 +414,26 @@ def hom_classes(pres, n=2, p=2, special=True):
             if all(group.word(letters, images) == group.identity for letters in checks[i]):
                 extend(i + 1, child)
 
-    extend(0, tuple(range(order)))
+    extend(0, group.everything)
     return [(_rep(pres, group, n, special, t), size) for t, size in found]
+
+
+def gl_twins(rep):
+    """The images of the representatives, as hom_classes gives them, of the
+    other SL(n;Z_p)-classes conjugate to rep's class by GL(n;Z_p): those of
+    the twist's powers applied to rep, the m-th, m = gcd(n, p - 1), being
+    conjugate to rep by diag(g^m, 1, ..., 1), a scalar times an element of
+    SL(n;Z_p).  rep's images must be its class's least, as hom_classes
+    gives them.  Empty at p = 2 and over GL, where the twist is None."""
+    group, x = rep.indexed()
+    twist, out = group.twist, []
+    for _ in range(gcd(rep.n, group.p - 1) - 1 if twist else 0):
+        x = tuple(twist[i] for i in x)
+        least = group.least_conjugate(x)
+        if least == rep._indices:
+            break
+        out.append(least)
+    return out
 
 
 def _rep(pres, group, n, special, indices):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,6 +263,20 @@ def test_cli_budget_message_names_the_cap(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_groebner_work_cap(monkeypatch, capsys):
+    # over Z[t]/(t^k - 1) the basis of E_1 = (2^31 - 1, 2^31 - 2 + t) takes
+    # about 2.8 * 10^6 coefficient operations at k = 4000, superquadratic in k
+    argv = ["ideal", "< x, y | x^2147483647 y^-2147483647 >", "--alpha", "x=t,y=t@t^4000"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "E_1 = (2147483647,2147483646+t)\n"
+    from foxcalc import ideals
+
+    monkeypatch.setattr(ideals, "GROEBNER_WORK_CAP", 10**6)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Groebner basis over GROEBNER_WORK_CAP = 1000000 coefficient operations\n"
+
+
 def test_cli_ideal_groebner_render_omits_zero_generators(capsys):
     # over Z[t]/(t^2 - 1) the reduced Z[t] basis of E_1 is {2 + 2t, t^2 - 1}
     rc = main(["ideal", "< x, y | x^4 y^-4 >", "--alpha", "x=t,y=t@t^2"])
@@ -325,18 +340,74 @@ def test_cli_parse_errors_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="xyt^@=,-+ 0123456789inf", max_size=24))
-def test_cli_alpha_fuzz(text):
-    # any --alpha string ends in an exit code, never in an uncaught exception
+@st.composite
+def cli_argvs(draw):
+    """A command line of any subcommand: a random presentation, exponents up
+    to 2^31 - 1, alpha targets of order 0 to 6 or any text, --p from 0 to 7
+    (to 5 where it picks a target group, 3 with three generators, whose free
+    group has 29,288 classes over SL(2;Z_5)) and the subcommand's flags,
+    each present or not."""
+    command = draw(st.sampled_from(["ideal", "twisted", "reps", "table1", "table3", "verify"]))
+    s = draw(st.integers(1, 3))
+    names = ("x", "y", "z")[:s]
+    big = 2**31 - 1
+    exponent = st.one_of(
+        st.integers(-3, 3), st.sampled_from([big, -big, big - 1, 12, -60]), st.integers(-big, big)
+    )
+    words = st.lists(st.lists(st.tuples(st.sampled_from(names), exponent), max_size=4), max_size=2)
+    relators = []
+    for word in draw(words):
+        total = sum(e for _, e in word)
+        if total and draw(st.booleans()):  # balanced, so that x, y, z -> t kills it
+            word.append((names[0], -total))
+        relators.append(" ".join(f"{g}^{e}" for g, e in word))
+    source = f"< {', '.join(names)} | {', '.join(r for r in relators if r)} >"
+    source = draw(st.sampled_from([source, source, "theta:3", "yoshikawa:6_1^0,1", "nope:1"]))
+    order = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        images = ",".join(f"{g}=t^{draw(exponent)}" for g in names)
+    else:
+        images = ",".join(f"{g}=t" for g in names)
+    alpha = f"{images}@t^{order or 'inf'}"
+    alpha = draw(st.one_of(st.just(alpha), st.text("xyzt^@=,-+ 0123456789inf", max_size=24)))
+
+    def flag(name, values):
+        return [f"--{name}={draw(values)}"] if draw(st.booleans()) else []
+
+    target_p, d = st.integers(0, 5 if s < 3 else 3), st.integers(-1, 4)
+    if command == "ideal":
+        rest = [source, f"--alpha={alpha}"] + flag("d", d) + flag("p", st.integers(0, 7))
+        rest += ["--all-d"] if draw(st.booleans()) else []
+    elif command == "twisted":
+        rho = draw(st.sampled_from(["lemma36", "other"]))
+        rest = [source, f"--alpha={alpha}", f"--rho={rho}", f"--d={draw(d)}"]
+    elif command == "reps":
+        rest = [source] + flag("p", target_p)
+    elif command in ("table1", "table3"):
+        rest = [source] + flag("p", target_p) + flag("k", st.integers(-1, 4))
+        rest += (flag("d", d) if command == "table1" else []) + ["--json"] * draw(st.booleans())
+    else:
+        target = draw(st.sampled_from(["theorem3.4", "remark3.4", "theorem3.7", "lemma3.6", "x"]))
+        ns = ",".join(str(n) for n in draw(st.lists(st.integers(-2, 13), max_size=3)))
+        rest = [target] + flag("n-max", st.integers(-1, 9)) + [f"--n-list={ns}"]
+    return [command] + rest
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10))
+@given(cli_argvs())
+def test_cli_fuzz(argv):
+    # any command line ends in exit 0, 1 or 2 (3 would be a wrong theorem),
+    # with one error line and no traceback when it is not 0
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = main(["ideal", "< x | x^2 >", f"--alpha={text}", "--all-d"])
-        except SystemExit as exc:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse
             rc = exc.code
-    assert rc in (0, 1, 2, 3)
-    assert rc == 0 or err.getvalue(), rc
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert rc in (0, 1, 2), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert len(errors) == (rc != 0), err.getvalue()
 
 
 def test_cli_bad_alpha_exit_1(capsys):

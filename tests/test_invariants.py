@@ -20,6 +20,9 @@ from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_norma
 from foxcalc.invariants import (
     InvariantTable,
     TableKind,
+    _fox_rows,
+    _merge_rows,
+    _principal,
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
@@ -35,12 +38,14 @@ from foxcalc.maps import (
     abelian_map,
     cyclic_map,
     enumerate_epis,
+    gl_twins,
     hom_classes,
     lemma36_rho,
     matrix_group_elements,
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
-from foxcalc.rings import RingElement, RingMatrix, reduce_matrix, ring_make
+from foxcalc.rings import RingElement, RingMatrix, cell_run, reduce_matrix, ring_make
+from foxcalc.smith import zp_elementary
 
 ZT = ring_make(0, (("t", 0),))
 
@@ -432,3 +437,100 @@ def test_fox_matrix_matches_fox_derive_reference(case):
     n = rho.n if rho else 1
     assert (m.declared_rows, m.declared_cols) == (n * pres.t, n * pres.s)
     assert [list(row) for row in m.entries] == fox_reference(pres, alpha, rho, modulus)
+
+
+@st.composite
+def gl_fusion_cases(draw):
+    """2- and 3-generator presentations whose relators have exponent sum 0,
+    so every generator may go to t, with a target SL(2;Z_p); 3 generators
+    only over Z_3, where the free group still has few classes."""
+    p = draw(st.sampled_from([3, 5]))
+    s = draw(st.integers(2, 3 if p == 3 else 2))
+    letter = st.tuples(st.integers(0, s - 1), st.sampled_from([-2, -1, 1, 2]))
+    relators = []
+    for word in draw(st.lists(st.lists(letter, min_size=1, max_size=5), max_size=2)):
+        total = sum(e for _, e in word)
+        relators.append(Word(tuple(word) + (((0, -total),) if total else ())))
+    names = ("x", "y", "z")[:s]
+    return Presentation(names, tuple(relators)), p, draw(st.sampled_from([0, 2, 3]))
+
+
+def every_class_entries(pres, alpha, rho, ds):
+    """E_d of the twisted matrix of one class, as table entries: zp_elementary
+    on the Fox walk of that very class, with no row lent by another."""
+    spec = ring_make(rho.p, alpha.variables)
+    rows = [[cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho)]
+    ideals = zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds)
+    return [render_ideal(_principal(spec, g))[1:-1] for g in ideals]
+
+
+def brute_force_least_conjugate(group, images):
+    rows = [group.conjugates(x) for x in images]
+    return min(tuple(row[b] for row in rows) for b in group.everything)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gl_fusion_cases(), st.randoms(use_true_random=False))
+def test_tables_per_gl_class_match_every_class_reference(case, rng):
+    # a row is evaluated once per GL(2;Z_p)-class of SL-classes and lent to
+    # the class's twins; the reference evaluates every class
+    pres, p, k = case
+    classes = hom_classes(pres, p=p)
+    group = classes[0][0].indexed()[0]
+    reps = {rho.indexed()[1] for rho, _ in classes}
+    for rho, _ in classes:
+        images = rho.indexed()[1]
+        assert group.least_conjugate(images) == images
+        b = rng.randrange(len(group.elements))
+        conjugated = tuple(group.conjugates(x)[b] for x in images)
+        assert group.least_conjugate(conjugated) == images
+        for twin in gl_twins(rho):
+            assert twin in reps and twin != images
+            assert group.least_conjugate(twin) == twin
+    for x in rng.sample(range(len(group.elements)), 6):
+        images = (x, rng.randrange(len(group.elements)), rng.randrange(len(group.elements)))
+        assert group.least_conjugate(images) == brute_force_least_conjugate(group, images)
+
+    alpha = cyclic_map(pres, (1,) * pres.s, k)
+    rows = []
+    for rho, _ in classes:
+        entries = every_class_entries(pres, alpha, rho, range(1, 2 * pres.s + 1))
+        rows.append(tuple(entries[: entries.index("1") + 1]))
+    rows.sort(key=lambda r: (len(r), r))
+    assert surfacelink_invariant(pres, p=p, k=k).rows == _merge_rows(rows)
+
+    k, d = max(k, 2), rng.choice([1, 2])
+    epis = enumerate_epis(pres, k)
+    raw = [
+        tuple(every_class_entries(pres, alpha, rho, (d,))[0] for alpha in epis)
+        for rho, _ in classes
+    ]
+    want = _merge_rows(least_sorted_rows(raw, len(epis)))
+    assert handlebody_invariant(pres, p=p, k=k, d=d).rows == want
+
+
+def test_gl_twins_fuse_the_paper_tables_rows(monkeypatch):
+    # the 46 Table 3 operations of the benchmark's paper-tables workload
+    # evaluate 693 rows for their 1,081 classes: all 147 over SL(2;Z_2),
+    # which has no twins, and 546 for the 934 classes over SL(2;Z_3)
+    from foxcalc import invariants
+
+    counts = {"classes": 0, "rows": 0}
+    fuse = invariants._per_gl_class
+
+    def counting(classes, row):
+        counts["classes"] += len(classes)
+
+        def counted(rho):
+            counts["rows"] += 1
+            return row(rho)
+
+        return fuse(classes, counted)
+
+    monkeypatch.setattr(invariants, "_per_gl_class", counting)
+    seen = []
+    for p in (2, 3):
+        for key in YOSHIKAWA_KEYS:
+            surfacelink_invariant(catalog_lookup(f"yoshikawa:{key}").presentation, p=p)
+        seen.append(dict(counts))
+    assert seen == [{"classes": 147, "rows": 147}, {"classes": 1081, "rows": 693}]
