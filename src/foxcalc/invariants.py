@@ -13,7 +13,7 @@ from .ideals import ideal_from, ideal_normalize, render_ideal
 from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, gl_twins, hom_classes
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, finite_size_ok, normalize_sign
-from .smith import zp_elementary
+from .smith import by_shape, zp_elementary
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
 
@@ -158,7 +158,7 @@ def elementary_ideals(m, ds):
     """E_d in normal form, d in ds, lazily and in order: by smith.py where
     _by_smith, else from the minors of m's E_d-preserving unit-pivot reduction."""
     if _by_smith(m.spec):
-        rows = ([(e.valuation, e.coeffs) for e in row] for row in m.entries)
+        rows = ([e.run for e in row] for row in m.entries)
         ideals = zp_elementary(m.spec, rows, m.declared_rows, m.declared_cols, ds)
         return (_principal(m.spec, g) for g in ideals)
     m = reduce_matrix(m)
@@ -209,13 +209,18 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
     are equivalent, M' = (I_t (x) P) M (I_s (x) P^-1), see _per_gl_class.
     """
     epis = enumerate_epis(pres, k)
-    entries = _table(ring_make(p, (("t", k),)))  # the target of every epi
+    spec = ring_make(p, (("t", k),))  # the target of every epi
+    entries, classes = _table(spec), hom_classes(pres, n=n, p=p)
 
     def row(rho):
         return tuple(next(entries(pres, alpha, rho, (d,))) for alpha in epis)
 
-    raw_rows = list(_per_gl_class(hom_classes(pres, n=n, p=p), row))
-    best = least_sorted_rows(raw_rows, len(epis))
+    if _by_smith(spec) and by_shape(n * pres.t, n * pres.s, d) is not None:
+        # the shape decides every entry, with no matrix read (the minors
+        # route walks it, and may refuse): every row is the first class's
+        best = [row(classes[0][0])] * len(classes)
+    else:
+        best = least_sorted_rows(list(_per_gl_class(classes, row)), len(epis))
     return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best), len(epis))
 
 

@@ -6,11 +6,13 @@ Exponents of finite-order variables are reduced to least nonnegative
 residues, so every variable is a unit (t_i * t_i^(k_i-1) = 1).  An element
 has one of two representations, picked from the number of variables:
 
-  - one variable: dense, a valuation v and a tuple of coefficients, the
-    element t^v (c_0 + c_1 t + ... + c_n t^n) with c_0 and c_n nonzero;
-    sums align the tuples and products convolve them (Knuth, TAOCP vol. 2,
-    section 4.6).  An element whose exponents span more than DEGREE_CAP
-    is refused.
+  - one variable: dense, a run (v, coefficients), the element
+    t^v (c_0 + c_1 t + ... + c_n t^n) with c_0 and c_n nonzero, behind the
+    RingElement interface.  It overrides only what the Fox walk,
+    reduce_matrix, det and render use; its sums and products are
+    run_addmul, the one a + q b on runs, aligning and convolving them
+    (Knuth, TAOCP vol. 2, section 4.6), which smith.py shares.  An
+    element whose exponents span more than DEGREE_CAP is refused.
   - none or several variables: a map from exponent vectors to nonzero
     coefficients.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd, prod
-from operator import add, sub
+from operator import add
 
 DET_CAP = 10
 DEGREE_CAP = 10**6  # of a dense univariate polynomial, t^k - 1 included
@@ -293,80 +295,51 @@ class _DenseElement(RingElement):
         self.valuation, self.coeffs = val, cs
 
     @property
+    def run(self):
+        return self.valuation, self.coeffs
+
+    @property
     def terms(self):
         return dict(self.sorted_terms())
 
     def _add_scaled(self, other, sign):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not b:
-            return self
-        if not a:
-            return other if sign > 0 else -other
-        va, vb = self.valuation, other.valuation
-        lo = min(va, vb)
-        size = max(va + len(a), vb + len(b)) - lo
-        check_degree(size - 1)
-        out = [0] * size
-        out[va - lo : va - lo + len(a)] = a
-        i, j = vb - lo, vb - lo + len(b)
-        out[i:j] = map(add if sign > 0 else sub, out[i:j], b)
-        return RingElement(self.spec, (lo, out))
-
-    def __neg__(self):
-        return RingElement(self.spec, (self.valuation, [-c for c in self.coeffs]))
+        (va, a), (vb, b) = self.run, other.run
+        if a and b:  # refused before the sum's span is allocated
+            check_degree(max(va + len(a), vb + len(b)) - min(va, vb) - 1)
+        return RingElement(self.spec, run_addmul(self.run, (0, (sign,)), other.run))
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        val = self.valuation + other.valuation
-        if not a or not b:
-            return RingElement(self.spec, (0, ()))
-        if len(a) > len(b):
-            a, b = b, a
-        n = len(b)
-        out = [0] * (len(a) + n - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, b))
-        return RingElement(self.spec, (val, out))
+        return RingElement(self.spec, run_addmul((0, ()), self.run, other.run))
 
     def is_zero(self):
         return not self.coeffs
 
-    def is_one(self):
-        return self.valuation == 0 and self.coeffs == (1,)
-
     def is_unit_monomial(self):
         return len(self.coeffs) == 1 and (self.spec.modulus > 0 or self.coeffs[0] in (1, -1))
-
-    def unit_inverse(self):
-        if not self.is_unit_monomial():
-            raise RingError("not a unit monomial")
-        (c,) = self.coeffs
-        p = self.spec.modulus
-        return RingElement(self.spec, (-self.valuation, (c if p == 0 else pow(c, -1, p),)))
 
     def sorted_terms(self):
         val = self.valuation
         return [((val + i,), c) for i, c in enumerate(self.coeffs) if c]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, _DenseElement)
-            and self.spec == other.spec
-            and self.valuation == other.valuation
-            and self.coeffs == other.coeffs
-        )
 
-    def __hash__(self):
-        return hash((self.spec, self.valuation, self.coeffs))
-
-    def min_exps(self):
-        return (self.valuation,)
-
-    def shift_to_origin(self):
-        return RingElement(self.spec, (0, self.coeffs)) if self.valuation else self
+def run_addmul(a, q, b):
+    """a + q b on runs, untrimmed, convolving over the shorter of q and b."""
+    (va, ca), (vq, cq), (vb, cb) = a, q, b
+    if len(cq) > len(cb):
+        cq, cb = cb, cq
+    if not cq:
+        return a
+    lo, hi, n = vq + vb, vq + vb + len(cq) + len(cb) - 1, len(cb)
+    if ca:
+        lo, hi = min(lo, va), max(hi, va + len(ca))
+    out = [0] * (hi - lo)
+    out[va - lo : va - lo + len(ca)] = ca
+    for i, x in enumerate(cq, vq + vb - lo):
+        if x:
+            out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, cb))
+    return lo, out
 
 
 def check_degree(d):
@@ -380,25 +353,21 @@ def finite_size_ok(spec):
 
 
 def cell_run(spec, terms):
-    """The run of RingElement(spec, terms), one variable, not building it."""
-    return _trimmed(*_run_of(terms, spec.variables[0][1]), spec.modulus)
-
-
-def _run_of(terms, k):
-    """A one-variable term map as a run, its exponents first folded mod k
-    when k > 0."""
+    """The run of RingElement(spec, terms), one variable, not building it:
+    its exponents folded mod the order k when k > 0, then trimmed."""
+    (_, k), p = spec.variables[0], spec.modulus
     if not terms:
         return 0, ()
     if len(terms) == 1:
         (((e,), c),) = terms.items()
-        return (e % k if k else e), (c,)
+        return _trimmed(e % k if k else e, (c,), p)
     exps = [e % k for (e,) in terms] if k else [e for (e,) in terms]
     lo, hi = min(exps), max(exps)
     check_degree(hi - lo)
     cs = [0] * (hi - lo + 1)
     for e, c in zip(exps, terms.values()):
         cs[e - lo] += c
-    return lo, cs
+    return _trimmed(lo, cs, p)
 
 
 def _trimmed(val, cs, p):
@@ -553,8 +522,7 @@ def poly_gcd(a, b):
         return spec.from_int(gcd(a.terms.get((), 0), b.terms.get((), 0)))
     if spec.nvars == 1 and spec.modulus:  # Euclid: Delta_1 of the 1 x 2 matrix (a b)
         from .smith import zp_divisors
-        runs = [(e.valuation, e.coeffs) for e in (a, b)]
-        return RingElement(spec, (0, zp_divisors([runs], spec.modulus)[0]))
+        return RingElement(spec, (0, zp_divisors([[a.run, b.run]], spec.modulus)[0]))
     import sympy
     symbols = [sympy.Symbol(n) for n, _ in spec.variables]
     options = {"modulus": spec.modulus} if spec.modulus else {}

@@ -1,26 +1,12 @@
 """E_d over Z_p[t^±1] and Z_p[t]/(t^k - 1) from invariant factors, entries
-being runs as in RingElement.  Smith elimination over Z_p[t^±1], Euclidean
-by span (Cohen, Computational Algebraic Number Theory, 2.4), and base
-change of Fitting ideals (Eisenbud, Commutative Algebra, 20.2)."""
+being runs as in RingElement, added by rings.run_addmul: Smith elimination
+over Z_p[t^±1], Euclidean by span (Cohen, Computational Algebraic Number
+Theory, 2.4), and base change of Fitting ideals (Eisenbud, Commutative
+Algebra, 20.2), folding by t^k = 1 in the RingElement constructor."""
 
-from operator import add, sub
+from operator import sub
 
-from .rings import _trimmed, check_degree
-
-
-def _addmul(a, q, b, p):
-    """a + q b."""
-    (va, ca), (vq, cq), (vb, cb) = a, q, b
-    if not cq or not cb:
-        return a
-    v, n = vq + vb, len(cb)
-    lo = min(va, v) if ca else v
-    out = [0] * (max(va + len(ca), v + len(cq) + n - 1) - lo)
-    out[va - lo : va - lo + len(ca)] = ca
-    for i, x in enumerate(cq, v - lo):
-        if x:
-            out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, cb))
-    return _trimmed(lo, out, p)
+from .rings import RingElement, _trimmed, check_degree, run_addmul
 
 
 def _reduce(a, b, p):
@@ -55,7 +41,7 @@ def zp_divisors(rows, p):
         for r, other in enumerate(a):
             if r != i and other[j][1]:
                 q, rem = _reduce(other[j], piv, p)
-                a[r] = [_addmul(x, q, y, p) for x, y in zip(other, row)]
+                a[r] = [_trimmed(*run_addmul(x, q, y), p) for x, y in zip(other, row)]
                 smaller = smaller or bool(rem[1])
         if smaller:
             continue
@@ -68,31 +54,35 @@ def zp_divisors(rows, p):
             if bad is not None:  # added to row i, leaves its remainders there
                 row[:] = [piv if c == j else _reduce(e, piv, p)[1] for c, e in enumerate(bad)]
                 continue
-            delta = _addmul((0, ()), (0, delta), piv, p)[1]
+            delta = _trimmed(*run_addmul((0, ()), (0, delta), piv), p)[1]
             check_degree(len(delta) - 1)
         out.append(delta)
         a = [b[:j] + b[j + 1 :] for r, b in enumerate(a) if r != i and any(cs for _, cs in b)]
     return out
 
 
+def by_shape(nrows, ncols, d):
+    """E_d by the shape alone: (1,) if q = ncols - d <= 0, () if q > nrows, else None."""
+    q = ncols - d
+    return (1,) if q <= 0 else () if q > nrows else None
+
+
 def zp_elementary(spec, rows, nrows, ncols, ds):
     """E_d, d in ds, lazily and in order, of an nrows x ncols matrix as its
     monic generator, () for (0); rows: per row, its entries' runs, read only
-    if some E_d needs them.  With q = ncols - d, E_d is (1) if q <= 0, (0)
-    if q exceeds nrows or the rank, else (Delta_q); at order k, folded by
-    t^k = 1, (0) if that is 0, (1) if a monomial, else (gcd(that, t^k - 1))."""
+    if some E_d needs them.  With q = ncols - d, E_d is by_shape, or (0) if
+    q exceeds the rank, else (Delta_q); at order k, folded by t^k = 1, (0)
+    if that is 0, (1) if a monomial, else (gcd(that, t^k - 1))."""
     p, k = spec.modulus, spec.variables[0][1]
     divisors = None
     for d in ds:
-        q = ncols - d
-        if q <= 0 or q > nrows:
-            yield (1,) if q <= 0 else ()
-            continue
-        if divisors is None:
-            divisors = zp_divisors(rows, p)
-        g = divisors[q - 1] if q <= len(divisors) else ()
-        if k and len(g) > 1:  # fold it by t^k = 1, and drop its power of t
-            g = _trimmed(0, [sum(g[i::k]) for i in range(min(k, len(g)))], p)[1]
-            if len(g) > 1:
-                (g,) = zp_divisors([[(0, (p - 1,) + (0,) * (k - 1) + (1,)), (0, g)]], p)
+        g = by_shape(nrows, ncols, d)
+        if g is None:
+            if divisors is None:
+                divisors = zp_divisors(rows, p)
+            g = divisors[ncols - d - 1] if ncols - d <= len(divisors) else ()
+            if k and len(g) > 1:  # fold it by t^k = 1, and drop its power of t
+                g = RingElement(spec, (0, g)).coeffs
+                if len(g) > 1:
+                    (g,) = zp_divisors([[(0, (p - 1,) + (0,) * (k - 1) + (1,)), (0, g)]], p)
         yield (1,) if len(g) == 1 else g

@@ -23,6 +23,7 @@ from foxcalc.invariants import (
     _fox_rows,
     _merge_rows,
     _principal,
+    _table,
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
@@ -45,7 +46,7 @@ from foxcalc.maps import (
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
 from foxcalc.rings import RingElement, RingMatrix, cell_run, reduce_matrix, ring_make
-from foxcalc.smith import zp_elementary
+from foxcalc.smith import by_shape, zp_elementary
 
 ZT = ring_make(0, (("t", 0),))
 
@@ -295,6 +296,51 @@ def test_handlebody_invariant_free_group():
     table = handlebody_invariant(pres)
     assert table.render() == "{(1,1,1)_11}"
     assert table.columns == 3
+
+
+@pytest.mark.parametrize("source", ["< x, y | >", "< x, y, z | >"])
+def test_shape_decided_handlebody_tables_walk_no_relator(source, monkeypatch):
+    # with no relators the shape decides every E_d (q = 2 s - d > 0 rows, or
+    # q <= 0): the table evaluates one row, of one class, and walks nothing
+    from foxcalc import invariants
+
+    pres, walks, calls = parse_presentation(source), [], []
+    fox_rows, elementary = invariants._fox_rows, invariants.zp_elementary
+
+    def walking(*args):  # a generator: appends once the walk is read
+        walks.append(args)
+        yield from fox_rows(*args)
+
+    def counting(*args):
+        calls.append(args)
+        return elementary(*args)
+
+    classes = {p: hom_classes(pres, p=p) for p in (3, 5)}
+    monkeypatch.setattr(invariants, "hom_classes", lambda pres, n, p: classes[p])
+    for p, k in itertools.product((3, 5), (2, 3, 4)):
+        epis = enumerate_epis(pres, k)
+        # over SL(2;Z_5) at k = 3 and 4 the rank 3 free group has 29,288
+        # classes by 26 and 56 epis: every entry (0), as q = 6 - d > 0 rows,
+        # where the per-entry reference takes about 15 s
+        per = None
+        if pres.s == 2 or p == 3 or k == 2:
+            entries, ds = _table(ring_make(p, (("t", k),))), range(1, 5)
+            per = [[list(entries(pres, a, rho, ds)) for a in epis] for rho, _ in classes[p]]
+        for d in range(1, 5):
+            assert by_shape(2 * pres.t, 2 * pres.s, d) is not None
+            if per is None:
+                want = ((("0",) * len(epis), len(classes[p])),)
+            else:
+                raw = [tuple(cell[d - 1] for cell in row) for row in per]
+                want = _merge_rows(least_sorted_rows(raw, len(epis)))
+            monkeypatch.setattr(invariants, "_fox_rows", walking)
+            monkeypatch.setattr(invariants, "zp_elementary", counting)
+            assert handlebody_invariant(pres, p=p, k=k, d=d).rows == want, (p, k, d)
+            monkeypatch.setattr(invariants, "_fox_rows", fox_rows)
+            monkeypatch.setattr(invariants, "zp_elementary", elementary)
+            assert len(calls) == len(epis), (p, k, d)
+            calls.clear()
+    assert walks == []
 
 
 def test_row_render_keeps_parentheses_of_several_generators():

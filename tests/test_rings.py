@@ -27,6 +27,8 @@ from foxcalc.rings import (
     poly_gcd,
     reduce_matrix,
     ring_make,
+    run_addmul,
+    _trimmed,
 )
 from foxcalc.smith import zp_divisors
 
@@ -180,6 +182,34 @@ def test_element_queries_match_fold_reference(case):
     twin = RingElement(spec, other)
     assert twin == a and hash(twin) == hash(a) and twin.terms == ra
     assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+
+
+def _ref_run_addmul(a, q, b, p):
+    """a + q b on term maps {exponent: coefficient}, reduced mod p > 0."""
+    terms = {}
+    for e, c in enumerate(a[1], a[0]):
+        terms[e] = terms.get(e, 0) + c
+    for e1, c1 in enumerate(q[1], q[0]):
+        for e2, c2 in enumerate(b[1], b[0]):
+            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+    return {e: c % p if p else c for e, c in terms.items() if (c % p if p else c)}
+
+
+# runs (valuation, coefficients), negative valuations, empty and single-term
+# runs and zero ends included, q and b of either length
+runs = st.tuples(st.integers(-9, 9), st.lists(st.integers(-9, 9), max_size=7))
+
+
+@settings(max_examples=500, deadline=None)
+@given(runs, runs, runs, st.sampled_from((0, 2, 3, 5)))
+def test_run_addmul_matches_term_map_reference(a, q, b, p):
+    # the one a + q b of the dense element and the Smith elimination,
+    # reduced and trimmed afterwards as smith.py does
+    lo, out = run_addmul(a, q, b)
+    assert {lo + i: c for i, c in enumerate(out) if c} == _ref_run_addmul(a, q, b, 0)
+    val, cs = _trimmed(lo, out, p)
+    assert not cs or (cs[0] and cs[-1])
+    assert {val + i: c for i, c in enumerate(cs) if c} == _ref_run_addmul(a, q, b, p)
 
 
 def test_dense_element_span_over_degree_cap_refused():
