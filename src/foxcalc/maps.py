@@ -10,7 +10,7 @@ from math import gcd
 from .rings import is_prime
 
 HOM_TARGET_CAP = 10**4
-HOM_SEARCH_NODE_CAP = 2 * 10**5  # generator images tried by hom_classes
+HOM_SEARCH_NODE_CAP = 2 * 10**5  # images tried by hom_classes, k^s assignments by enumerate_epis
 
 
 class MapError(ValueError):
@@ -45,14 +45,9 @@ class AbelianMap:
 
     def word_image(self, w):
         """Exponent vector of a word, reduced by the finite orders."""
-        r = len(self.variables)
-        vec = [0] * r
-        for g, e in w.letters:
-            for i in range(r):
-                vec[i] += e * self.images[g][i]
-        return tuple(
-            v % k if k > 0 else v for v, (_, k) in zip(vec, self.variables)
-        )
+        sums, r = w.exponent_sums(self.presentation.s), len(self.variables)
+        vec = [sum(e * img[i] for e, img in zip(sums, self.images)) for i in range(r)]
+        return tuple(v % k if k > 0 else v for v, (_, k) in zip(vec, self.variables))
 
 
 def abelian_map(pres, images, variables):
@@ -81,31 +76,18 @@ def mat_mul(a, b, p):
 
 
 def mat_det(a, p):
+    """Determinant mod p: closed forms up to 2 x 2, cofactor expansion along
+    the first row beyond."""
     n = len(a)
     if n == 1:
         return a[0][0] % p
     if n == 2:
         return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        # parity by cycle decomposition
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen % 2 == 0:
-                sign = -sign
-        term = sign
-        for i in range(n):
-            term *= a[i][perm[i]]
-        total += term
-    return total % p
+    return sum(
+        (-1) ** j * c * mat_det(tuple(row[:j] + row[j + 1 :] for row in a[1:]), p)
+        for j, c in enumerate(a[0])
+        if c
+    ) % p
 
 
 def mat_inv(a, p):
@@ -131,9 +113,10 @@ class _IndexedGroup:
 
     A product of two elements is computed by mat_mul once, on first use, and
     memoised by index pair.  x^e is read off the cycle of x's powers, so a
-    word costs one lookup per letter whatever its exponents.  Conjugates of
-    an element, the orbits of a subgroup acting by conjugation, the least
-    element of each orbit and the twist are computed once, on first use.
+    word costs one lookup per letter whatever its exponents.  Cycles,
+    conjugates of an element, the orbit table of a subgroup acting by
+    conjugation and the twist are computed once, on first use; the group
+    lives for the whole process (_indexed_group), and so do they.
     """
 
     def __init__(self, n, p, special):
@@ -142,11 +125,7 @@ class _IndexedGroup:
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.identity = self.index[mat_identity(n)]
         self.inverse = [self.index[mat_inv(m, p)] for m in self.elements]
-        self._products = {}
-        self._cycles = {}
-        self._conjugates = {}
-        self._orbits = {}
-        self._leaders = {}
+        self._products = {}  # (i, j) to the index of i j; word reads it inline
         self.nonzero = [  # per element, its nonzero entries (row, column, value)
             [(a, b, c) for a, row in enumerate(m) for b, c in enumerate(row) if c]
             for m in self.elements
@@ -163,14 +142,12 @@ class _IndexedGroup:
             self._products[(i, j)] = k
         return k
 
+    @functools.cache
     def _cycle(self, i):
-        cycle = self._cycles.get(i)
-        if cycle is None:
-            cycle, x = [self.identity], i
-            while x != self.identity:
-                cycle.append(x)
-                x = self.mul(x, i)
-            self._cycles[i] = cycle
+        cycle, x = [self.identity], i
+        while x != self.identity:
+            cycle.append(x)
+            x = self.mul(x, i)
         return cycle
 
     def power(self, i, e):
@@ -180,47 +157,33 @@ class _IndexedGroup:
     def order(self, i):
         return len(self._cycle(i))
 
+    @functools.cache
     def conjugates(self, x):
         """b x b^-1 for every element b, by index of b."""
-        row = self._conjugates.get(x)
-        if row is None:
-            mul, inverse = self.mul, self.inverse
-            row = tuple(mul(mul(b, x), inverse[b]) for b in range(len(self.elements)))
-            self._conjugates[x] = row
-        return row
+        mul, inverse = self.mul, self.inverse
+        return tuple(mul(mul(b, x), inverse[b]) for b in range(len(self.elements)))
 
+    @functools.cache
     def orbits(self, subgroup):
-        """The orbits of a subgroup (a sorted tuple of indices) acting on the
-        group by conjugation, ascending by least element: each orbit's least
-        element mapped to that element's stabilizer in the subgroup."""
-        out = self._orbits.get(subgroup)
-        if out is None:
-            seen, out = set(), {}
-            for x in range(len(self.elements)):
-                if x not in seen:
-                    row = self.conjugates(x)
-                    seen.update(row[b] for b in subgroup)
-                    out[x] = tuple(b for b in subgroup if row[b] == x)
-            self._orbits[subgroup] = out
-        return out
+        """The orbit table of a subgroup (a sorted tuple of indices) acting
+        on the group by conjugation, in one pass over the conjugation rows of
+        the orbits' least elements.  Two maps: each orbit's least element to
+        its stabilizer in the subgroup, ascending by least element; and
+        every element y to (its orbit's least element x, an element b of the
+        subgroup with b y b^-1 = x)."""
+        stabilizers, leaders, inverse = {}, {}, self.inverse
+        for x in range(len(self.elements)):
+            if x not in leaders:
+                row = self.conjugates(x)
+                for b in subgroup:
+                    leaders[row[b]] = (x, inverse[b])
+                stabilizers[x] = tuple(b for b in subgroup if row[b] == x)
+        return stabilizers, leaders
 
     @functools.cached_property
     def everything(self):
         """The whole group, as a subgroup."""
         return tuple(range(len(self.elements)))
-
-    def leaders(self, subgroup):
-        """Per element, the least element of its orbit under a subgroup
-        acting by conjugation, and an element of the subgroup conjugating it
-        there, read off the rows of the orbits' least elements."""
-        out = self._leaders.get(subgroup)
-        if out is None:
-            out = self._leaders[subgroup] = {}
-            for x in self.orbits(subgroup):
-                row = self.conjugates(x)
-                for b in subgroup:
-                    out[row[b]] = (x, self.inverse[b])
-        return out
 
     def least_conjugate(self, images):
         """The least tuple, index by index, simultaneously conjugate to a
@@ -231,9 +194,10 @@ class _IndexedGroup:
         mul, inverse = self.mul, self.inverse
         sub, c, out = self.everything, self.identity, []
         for y in images:
-            x, b = self.leaders(sub)[mul(mul(c, y), inverse[c])]
+            stabilizers, leaders = self.orbits(sub)
+            x, b = leaders[mul(mul(c, y), inverse[c])]
             out.append(x)
-            c, sub = mul(b, c), self.orbits(sub)[x]
+            c, sub = mul(b, c), stabilizers[x]
         return tuple(out)
 
     @functools.cached_property
@@ -357,21 +321,19 @@ def matrix_group_elements(n, p, special=True):
 
 
 def enumerate_epis(pres, k):
-    """All epimorphisms onto Z_k = <t | t^k>, lexicographic in assignments."""
+    """All epimorphisms onto Z_k = <t | t^k>, lexicographic in assignments.
+    More than HOM_SEARCH_NODE_CAP assignments, k^s, raises MapError."""
     if k < 2:
         raise MapError("cyclic target needs k >= 2")
-    s = pres.s
-    sums = [rel.exponent_sums(s) for rel in pres.relators]
+    if k**pres.s > HOM_SEARCH_NODE_CAP:
+        raise MapError(f"hom search over HOM_SEARCH_NODE_CAP = {HOM_SEARCH_NODE_CAP} nodes")
+    sums = [rel.exponent_sums(pres.s) for rel in pres.relators]
     out = []
-    for assign in itertools.product(range(k), repeat=s):
-        if any(sum(a * e for a, e in zip(assign, es)) % k for es in sums):
-            continue
-        g = 0
-        for a in assign:
-            g = gcd(g, a)
-        if gcd(g, k) != 1:
-            continue
-        out.append(cyclic_map(pres, assign, k))
+    for assign in itertools.product(range(k), repeat=pres.s):
+        if gcd(k, *assign) == 1 and not any(
+            sum(a * e for a, e in zip(assign, es)) % k for es in sums
+        ):
+            out.append(cyclic_map(pres, assign, k))
     return out
 
 
@@ -404,7 +366,7 @@ def hom_classes(pres, n=2, p=2, special=True):
         if i == s:
             found.append((tuple(images), order // len(stabilizer)))
             return
-        for x, child in group.orbits(stabilizer).items():
+        for x, child in group.orbits(stabilizer)[0].items():
             nodes += 1
             if nodes > HOM_SEARCH_NODE_CAP:
                 raise MapError(

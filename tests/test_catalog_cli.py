@@ -225,6 +225,16 @@ def test_cli_hom_search_budget_exit_1(capsys):
     assert err.startswith("error: ") and "HOM_SEARCH_NODE_CAP" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["table1", "theta:4", "--k", "60"], ["table1", "< x, y | >", "--k", "1000"]]
+)
+def test_cli_epi_search_budget_exit_1(capsys, argv):
+    # 60^4 and 1000^2 assignments onto Z_k, refused before any is tried
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "HOM_SEARCH_NODE_CAP" in err
+
+
 def test_cli_canonicalization_budget_exit_1(capsys, monkeypatch):
     from foxcalc import invariants
 
@@ -345,8 +355,11 @@ def cli_argvs(draw):
     """A command line of any subcommand: a random presentation, exponents up
     to 2^31 - 1, alpha targets of order 0 to 6 or any text, --p from 0 to 7
     (to 5 where it picks a target group, 3 with three generators, whose free
-    group has 29,288 classes over SL(2;Z_5)) and the subcommand's flags,
-    each present or not."""
+    group has 29,288 classes over SL(2;Z_5)), table1 orders 1000 and 10^6 as
+    well, whose k^s epimorphism assignments the search budget refuses but for
+    k = 1000 on one generator, and the subcommand's flags, each present or
+    not.  Order 60 and large table3 orders wait for a budget on the minors
+    route, which they reach with minutes of work (ROADMAP item 1)."""
     command = draw(st.sampled_from(["ideal", "twisted", "reps", "table1", "table3", "verify"]))
     s = draw(st.integers(1, 3))
     names = ("x", "y", "z")[:s]
@@ -384,7 +397,10 @@ def cli_argvs(draw):
     elif command == "reps":
         rest = [source] + flag("p", target_p)
     elif command in ("table1", "table3"):
-        rest = [source] + flag("p", target_p) + flag("k", st.integers(-1, 4))
+        orders = st.integers(-1, 4)
+        if command == "table1":
+            orders = st.one_of(orders, st.sampled_from([1000, 10**6]))
+        rest = [source] + flag("p", target_p) + flag("k", orders)
         rest += (flag("d", d) if command == "table1" else []) + ["--json"] * draw(st.booleans())
     else:
         target = draw(st.sampled_from(["theorem3.4", "remark3.4", "theorem3.7", "lemma3.6", "x"]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from foxcalc.maps import (
     MapError,
     MatrixRep,
+    _indexed_group,
     abelian_map,
     conjugacy_classes,
     cyclic_map,
@@ -17,6 +18,7 @@ from foxcalc.maps import (
     enumerate_homs,
     hom_classes,
     lemma36_rho,
+    mat_det,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -128,6 +130,70 @@ def ref_classes(homs, elements, p):
     return out
 
 
+def ref_mat_det(a, p):
+    """The determinant mod p, expanded over all n! permutations, each
+    signed by the parity of its cycle decomposition."""
+    n, total = len(a), 0
+    for perm in itertools.permutations(range(n)):
+        sign, seen = 1, [False] * n
+        for i in range(n):
+            j, length = i, 0
+            while not seen[j]:
+                seen[j], j, length = True, perm[j], length + 1
+            if length and length % 2 == 0:
+                sign = -sign
+        term = sign
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total % p
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n).map(tuple), min_size=n, max_size=n
+    ).map(tuple)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices, st.sampled_from([2, 3, 5, 7]))
+def test_mat_det_matches_permutation_expansion(a, p):
+    assert mat_det(a, p) == ref_mat_det(a, p)
+
+
+def brute_force_conjugation(group):
+    """conj[y][b]: the index of b y b^-1, by matrix arithmetic."""
+    p, elements = group.p, group.elements
+    inverses = [mat_inv(b, p) for b in elements]
+    return [
+        [group.index[mat_mul(mat_mul(b, y, p), b_inv, p)] for b, b_inv in zip(elements, inverses)]
+        for y in elements
+    ]
+
+
+@pytest.mark.parametrize("p, special", [(2, True), (3, True), (5, True), (3, False)])
+def test_orbit_table_matches_brute_force(p, special):
+    # H: the whole group and every stabilizer a search on three generators
+    # reaches
+    group = _indexed_group(2, p, special)
+    conj = brute_force_conjugation(group)
+    subgroups, level = {group.everything}, [group.everything]
+    for _ in range(2):
+        level = list(dict.fromkeys(h for sub in level for h in group.orbits(sub)[0].values()))
+        subgroups.update(level)
+    for sub in subgroups:
+        stabilizers, leaders = group.orbits(sub)
+        members = set(sub)
+        least = [min(row[b] for b in sub) for row in conj]
+        assert list(stabilizers) == sorted(set(least))
+        assert sorted(leaders) == list(range(len(conj)))
+        for y, (x, b) in leaders.items():
+            assert x == least[y] and b in members and conj[y][b] == x
+        for x, stabilizer in stabilizers.items():
+            assert stabilizer == tuple(b for b in sub if conj[x][b] == x)
+
+
 exponents = st.one_of(
     st.integers(-4, 4), st.integers(-(10**6), 10**6)
 ).filter(bool)
@@ -206,6 +272,17 @@ def test_enumerate_epis_counts_and_order():
     assert len(enumerate_epis(z2, 2)) == 1
     z3gen = parse_presentation("< x | x^3 >")
     assert len(enumerate_epis(z3gen, 2)) == 0  # x must map to 0, not onto
+
+
+def test_enumerate_epis_budget(monkeypatch):
+    # the k^s assignments are counted before any is tried
+    from foxcalc import maps
+
+    f2 = parse_presentation("< x, y | >")
+    monkeypatch.setattr(maps, "HOM_SEARCH_NODE_CAP", 9)
+    assert len(enumerate_epis(f2, 3)) == 8
+    with pytest.raises(MapError, match="HOM_SEARCH_NODE_CAP = 9"):
+        enumerate_epis(f2, 4)
 
 
 def test_abelian_map_rejects_unkilled_relator():
