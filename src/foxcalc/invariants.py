@@ -10,7 +10,7 @@ from math import gcd, lcm
 from operator import add
 
 from .ideals import ideal_from, ideal_normalize, render_ideal
-from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, gl_twins, hom_classes
+from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes, twins
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, finite_size_ok, normalize_sign
 from .smith import by_shape, zp_elementary
@@ -183,20 +183,24 @@ def _principal(spec, g):
 
 
 def _table(spec):
-    """entries(pres, alpha, rho, ds): the E_d of a twisted matrix over spec as
-    table entries, lazily, by zp_elementary on the Fox walk's cells (each
-    generator rendered once per _table), or else from the minors."""
-    render = functools.cache(lambda g: render_ideal(_principal(spec, g))[1:-1])
+    """(entries, render).  entries(pres, alpha, rho, ds): the E_d of a
+    twisted matrix over spec, lazily, as zp_elementary generators, by
+    zp_elementary on the Fox walk's cells, or else from the minors, which
+    give (0) or (1) over a ring past FINITE_SIZE_CAP and refuse any other
+    ideal.  render(row): a row of generators as table entries, each distinct
+    row and generator rendered once per _table."""
+    entry = functools.cache(lambda g: render_ideal(_principal(spec, g))[1:-1])
+    render = functools.cache(lambda row: tuple(map(entry, row)))
     by_smith = _by_smith(spec)
 
     def entries(pres, alpha, rho, ds):
         if not by_smith:
             ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), ds)
-            return (render_ideal(e)[1:-1] for e in ideals)
+            return ((1,) if e.is_unit() else () for e in ideals)
         rows = ([cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho))
-        return map(render, zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds))
+        return zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds)
 
-    return entries
+    return entries, render
 
 
 def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
@@ -205,22 +209,22 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
     Canonical under simultaneous row and column permutation: the least,
     over all column permutations, of the matrix with its rows sorted,
     found by least_sorted_rows without trying every permutation.  A row is
-    evaluated once per GL(n;Z_p)-class of classes, whose twisted matrices
-    are equivalent, M' = (I_t (x) P) M (I_s (x) P^-1), see _per_gl_class.
+    evaluated once per GL(n;Z_p)-class of classes, see _per_orbit; the
+    columns vary alpha, so no central twist lends a row.
     """
     epis = enumerate_epis(pres, k)
-    spec = ring_make(p, (("t", k),))  # the target of every epi
-    entries, classes = _table(spec), hom_classes(pres, n=n, p=p)
+    entries, render = _table(ring_make(p, (("t", k),)))  # the target of every epi
+    classes = hom_classes(pres, n=n, p=p)
 
     def row(rho):
         return tuple(next(entries(pres, alpha, rho, (d,))) for alpha in epis)
 
-    if _by_smith(spec) and by_shape(n * pres.t, n * pres.s, d) is not None:
-        # the shape decides every entry, with no matrix read (the minors
-        # route walks it, and may refuse): every row is the first class's
-        best = [row(classes[0][0])] * len(classes)
+    if by_shape(n * pres.t, n * pres.s, d) is not None:
+        # the shape decides every entry, on either route: every row is the
+        # first class's, whose walk refuses what any class's would
+        best = [render(row(classes[0][0]))] * len(classes)
     else:
-        best = least_sorted_rows(list(_per_gl_class(classes, row)), len(epis))
+        best = least_sorted_rows(list(map(render, _per_orbit(classes, row))), len(epis))
     return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best), len(epis))
 
 
@@ -302,38 +306,53 @@ def least_sorted_rows(rows, columns):
 def surfacelink_invariant(pres, p=2, k=2, n=2):
     """Row-form invariant: per conjugacy class, (E_1, E_2, ...) up to the
     first 1.  E_d ascends with d, and E_{n s} is (1), so none is left out.
-    A row is evaluated once per GL(n;Z_p)-class of classes, whose twisted
-    matrices are equivalent, M' = (I_t (x) P) M (I_s (x) P^-1), see
-    _per_gl_class."""
+    A row is evaluated once per orbit of classes under GL(n;Z_p)-conjugation
+    and the central twists rho -> rho zeta^alpha, alpha sending every
+    generator to t, see _per_orbit; on the minors route, past
+    FINITE_SIZE_CAP, zeta stays 1."""
     alpha = cyclic_map(pres, (1,) * pres.s, k)
-    table_entries = _table(ring_make(p, alpha.variables))
+    spec = ring_make(p, alpha.variables)
+    entries, render = _table(spec)
 
     def row(rho):
-        entries = []
-        for entry in table_entries(pres, alpha, rho, range(1, n * pres.s + 1)):
-            entries.append(entry)
-            if entry == "1":
+        gens = []
+        for g in entries(pres, alpha, rho, range(1, n * pres.s + 1)):
+            gens.append(g)
+            if g == (1,):
                 break
-        return tuple(entries)
+        return tuple(gens)
 
-    rows = sorted(_per_gl_class(hom_classes(pres, n=n, p=p), row), key=lambda r: (len(r), r))
+    lent = _per_orbit(hom_classes(pres, n=n, p=p), row, alpha if _by_smith(spec) else None)
+    rows = sorted(map(render, lent), key=lambda r: (len(r), r))
     return InvariantTable(TableKind.ROW_FORM, _merge_rows(rows), 0)
 
 
-def _per_gl_class(classes, row):
-    """row(rho) for each class of hom_classes, lazily, evaluated once per
-    GL(n;Z_p)-class of SL(n;Z_p)-classes: the first class met of a GL-class
-    lends its row to its gl_twins.  A P in GL(n;Z_p) conjugating rho to
-    rho' makes their twisted matrices equivalent over Z_p, M' = (I_t (x) P)
-    M (I_s (x) P^-1), so the two have the same E_d (Wada, Topology 33,
-    1994)."""
+def _per_orbit(classes, row, alpha=None):
+    """row(rho), a tuple of zp_elementary generators, for each class of
+    hom_classes, lazily, evaluated once per orbit of twins(rho, alpha): the
+    first class met of an orbit lends its row to each twin, each generator
+    g as g(zeta t) made monic.
+
+    A P in GL(n;Z_p) conjugating rho to rho' makes their twisted matrices
+    equivalent over Z_p, M' = (I_t (x) P) M (I_s (x) P^-1), so the two have
+    the same E_d (Wada, Topology 33, 1994).  rho zeta^alpha sends a word w
+    to zeta^alpha(w) rho(w), so its twisted matrix is M with t replaced by
+    zeta t, by the ring automorphism t -> zeta t (zeta^k = 1), and its E_d
+    are rho's images under it."""
     lent = {}
     for rho, _ in classes:
         r = lent.pop(rho.indexed()[1], None)
         if r is None:
             r = row(rho)
-            lent.update(dict.fromkeys(gl_twins(rho), r))
+            for twin, zeta in twins(rho, alpha):
+                lent[twin] = tuple(_at_zeta_t(g, zeta, rho.p) for g in r)
         yield r
+
+
+def _at_zeta_t(g, zeta, p):
+    """g(zeta t) made monic, g a zp_elementary generator over Z_p."""
+    scale = pow(zeta, 1 - len(g), p)  # zeta^-deg g
+    return tuple(c * pow(zeta, i, p) * scale % p for i, c in enumerate(g))
 
 
 def _merge_rows(rows):

@@ -90,6 +90,12 @@ def mat_det(a, p):
     ) % p
 
 
+@functools.cache
+def _primitive_root(p):
+    """The least generator of Z_p^*."""
+    return next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+
 def mat_inv(a, p):
     """Inverse over Z_p by Gauss-Jordan elimination."""
     n = len(a)
@@ -202,17 +208,16 @@ class _IndexedGroup:
 
     @functools.cached_property
     def twist(self):
-        """Conjugation by diag(g, 1, ..., 1), g the least generator of
-        Z_p^*, as a permutation of indices: it scales row 0 by g and column 0
-        by g^-1.  Every matrix of GL(n;Z_p) is a power of diag(g, 1, ..., 1)
+        """Conjugation by diag(g, 1, ..., 1), g = _primitive_root(p), as a
+        permutation of indices: it scales row 0 by g and column 0 by g^-1.
+        Every matrix of GL(n;Z_p) is a power of diag(g, 1, ..., 1)
         times one of SL(n;Z_p), so the twist's powers take an SL-class to
         each of its GL-conjugates.  None over GL, where conjugation by it is
         inner, and at p = 2, where it is the identity."""
         p = self.p
         if not self.special or p == 2:
             return None
-        g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p)}) == p - 1)
-        d = [g] + [1] * (len(self.elements[0]) - 1)
+        d = [_primitive_root(p)] + [1] * (len(self.elements[0]) - 1)
         d_inv = [pow(c, -1, p) for c in d]
 
         def conjugate(m):
@@ -380,22 +385,37 @@ def hom_classes(pres, n=2, p=2, special=True):
     return [(_rep(pres, group, n, special, t), size) for t, size in found]
 
 
-def gl_twins(rep):
-    """The images of the representatives, as hom_classes gives them, of the
-    other SL(n;Z_p)-classes conjugate to rep's class by GL(n;Z_p): those of
-    the twist's powers applied to rep, the m-th, m = gcd(n, p - 1), being
-    conjugate to rep by diag(g^m, 1, ..., 1), a scalar times an element of
-    SL(n;Z_p).  rep's images must be its class's least, as hom_classes
-    gives them.  Empty at p = 2 and over GL, where the twist is None."""
-    group, x = rep.indexed()
-    twist, out = group.twist, []
-    for _ in range(gcd(rep.n, group.p - 1) - 1 if twist else 0):
-        x = tuple(twist[i] for i in x)
-        least = group.least_conjugate(x)
-        if least == rep._indices:
-            break
-        out.append(least)
-    return out
+def twins(rep, alpha=None):
+    """(images, zeta) for each other class in rep's orbit under the twist
+    and the central twists, images being the class's representative as
+    hom_classes gives it.  rep's images must be its class's least.
+
+    The twist's powers take rep to its GL(n;Z_p)-conjugates, the c-th,
+    c = gcd(n, p - 1), being conjugate to rep by diag(g^c, 1, ..., 1), a
+    scalar times an element of SL(n;Z_p); zeta = 1 for those.  Given alpha
+    onto <t | t^k> (k = 0 for infinite), each of them times zeta^alpha(x_g)
+    I on generator g is again a hom into the same group, for every zeta in
+    Z_p^* with zeta^n = zeta^k = 1: the m-th roots of unity,
+    m = gcd(n, k, p - 1).  None keeps zeta = 1, and so does p = 2, where
+    m = 1 and, as over GL, the twist is None."""
+    group, images = rep.indexed()
+    p, twist, n = group.p, group.twist, rep.n
+    m = gcd(n, alpha.variables[0][1], p - 1) if alpha else 1
+    zeta = pow(_primitive_root(p), (p - 1) // m, p)
+    scalar = group.find(tuple(tuple(zeta * c for c in row) for row in mat_identity(n)))
+    exponents = [e for e, in alpha.images] if alpha else [0] * len(images)
+    central = [  # per zeta^j, the scalar each generator image is multiplied by
+        (pow(zeta, j, p), [group.power(scalar, j * e) for e in exponents]) for j in range(m)
+    ]
+    seen, x = {images}, images
+    for _ in range(gcd(n, p - 1) if twist else 1):
+        for z, scalars in central:
+            least = group.least_conjugate(tuple(map(group.mul, x, scalars)))
+            if least not in seen:
+                seen.add(least)
+                yield least, z
+        if twist:
+            x = tuple(twist[i] for i in x)
 
 
 def _rep(pres, group, n, special, indices):

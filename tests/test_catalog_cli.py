@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import time
 from datetime import timedelta
 
 import pytest
@@ -233,6 +234,23 @@ def test_cli_epi_search_budget_exit_1(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "HOM_SEARCH_NODE_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "argv, entry, columns, classes",
+    [
+        (["table1", "< x, y | >", "--p", "5", "--k", "60"], "1", 2304, 296),
+        (["table1", "< x, y, z | >", "--p", "2", "--k", "17", "--d", "1"], "0", 4912, 49),
+    ],
+)
+def test_cli_shape_decided_table1_past_finite_size_cap(capsys, argv, entry, columns, classes):
+    # p^k past FINITE_SIZE_CAP, so E_d comes from the minors, and with no
+    # relators the shape decides every entry: one class's row is evaluated,
+    # in well under a second, where evaluating every row took 4 to 7 s
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().out == "{(" + ",".join([entry] * columns) + f")_{classes}}}\n"
 
 
 def test_cli_canonicalization_budget_exit_1(capsys, monkeypatch):

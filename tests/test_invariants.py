@@ -39,10 +39,10 @@ from foxcalc.maps import (
     abelian_map,
     cyclic_map,
     enumerate_epis,
-    gl_twins,
     hom_classes,
     lemma36_rho,
     matrix_group_elements,
+    twins,
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
 from foxcalc.rings import RingElement, RingMatrix, cell_run, reduce_matrix, ring_make
@@ -324,8 +324,11 @@ def test_shape_decided_handlebody_tables_walk_no_relator(source, monkeypatch):
         # where the per-entry reference takes about 15 s
         per = None
         if pres.s == 2 or p == 3 or k == 2:
-            entries, ds = _table(ring_make(p, (("t", k),))), range(1, 5)
-            per = [[list(entries(pres, a, rho, ds)) for a in epis] for rho, _ in classes[p]]
+            (entries, render), ds = _table(ring_make(p, (("t", k),))), range(1, 5)
+            per = [
+                [render(tuple(entries(pres, a, rho, ds))) for a in epis]
+                for rho, _ in classes[p]
+            ]
         for d in range(1, 5):
             assert by_shape(2 * pres.t, 2 * pres.s, d) is not None
             if per is None:
@@ -498,16 +501,21 @@ def gl_fusion_cases(draw):
         total = sum(e for _, e in word)
         relators.append(Word(tuple(word) + (((0, -total),) if total else ())))
     names = ("x", "y", "z")[:s]
-    return Presentation(names, tuple(relators)), p, draw(st.sampled_from([0, 2, 3]))
+    return Presentation(names, tuple(relators)), p, draw(st.sampled_from([0, 2, 3, 4]))
+
+
+def every_class_generators(pres, alpha, rho, ds):
+    """The ring and the zp_elementary generators of E_d of the twisted matrix
+    of one class, on the Fox walk of that very class, with no row lent."""
+    spec = ring_make(rho.p, alpha.variables)
+    rows = [[cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho)]
+    return spec, list(zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds))
 
 
 def every_class_entries(pres, alpha, rho, ds):
-    """E_d of the twisted matrix of one class, as table entries: zp_elementary
-    on the Fox walk of that very class, with no row lent by another."""
-    spec = ring_make(rho.p, alpha.variables)
-    rows = [[cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho)]
-    ideals = zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds)
-    return [render_ideal(_principal(spec, g))[1:-1] for g in ideals]
+    """E_d of the twisted matrix of one class, as table entries."""
+    spec, gens = every_class_generators(pres, alpha, rho, ds)
+    return [render_ideal(_principal(spec, g))[1:-1] for g in gens]
 
 
 def brute_force_least_conjugate(group, images):
@@ -518,8 +526,9 @@ def brute_force_least_conjugate(group, images):
 @settings(max_examples=40, deadline=None)
 @given(gl_fusion_cases(), st.randoms(use_true_random=False))
 def test_tables_per_gl_class_match_every_class_reference(case, rng):
-    # a row is evaluated once per GL(2;Z_p)-class of SL-classes and lent to
-    # the class's twins; the reference evaluates every class
+    # a row is evaluated once per orbit of SL-classes under GL-conjugation
+    # and the central twists, and lent to the class's twins; the reference
+    # evaluates every class
     pres, p, k = case
     classes = hom_classes(pres, p=p)
     group = classes[0][0].indexed()[0]
@@ -530,7 +539,7 @@ def test_tables_per_gl_class_match_every_class_reference(case, rng):
         b = rng.randrange(len(group.elements))
         conjugated = tuple(group.conjugates(x)[b] for x in images)
         assert group.least_conjugate(conjugated) == images
-        for twin in gl_twins(rho):
+        for twin, _ in twins(rho):
             assert twin in reps and twin != images
             assert group.least_conjugate(twin) == twin
     for x in rng.sample(range(len(group.elements)), 6):
@@ -555,28 +564,80 @@ def test_tables_per_gl_class_match_every_class_reference(case, rng):
     assert handlebody_invariant(pres, p=p, k=k, d=d).rows == want
 
 
+@st.composite
+def central_twist_cases(draw):
+    """A gl_fusion_cases presentation, alpha exponents in -2..2 that kill its
+    relators mod k, and zeta in Z_p^* with zeta^2 = 1 and zeta^k = 1."""
+    pres, p, k = draw(gl_fusion_cases())
+    sums = [rel.exponent_sums(pres.s) for rel in pres.relators]
+
+    def image(a, es):
+        v = sum(x * e for x, e in zip(a, es))
+        return v % k if k else v
+
+    killing = [
+        a
+        for a in itertools.product(range(-2, 3), repeat=pres.s)
+        if not any(image(a, es) for es in sums)
+    ]
+    exponents = draw(st.sampled_from(killing))
+    zetas = [z for z in range(1, p) if z * z % p == 1 and (not k or pow(z, k, p) == 1)]
+    return pres, p, cyclic_map(pres, exponents, k), draw(st.sampled_from(zetas))
+
+
+@settings(max_examples=40, deadline=None)
+@given(central_twist_cases(), st.randoms(use_true_random=False))
+def test_central_twist_maps_t_to_zeta_t(case, rng):
+    # rho zeta^alpha sends generator g to zeta^alpha(x_g) rho(x_g): its
+    # twisted matrix is rho's with t -> zeta t, and so are its E_d; twins
+    # pairs each other class of rho's orbit with such a zeta
+    pres, p, alpha, zeta = case
+    classes = hom_classes(pres, p=p)
+    reps = {rho.indexed()[1]: rho for rho, _ in classes}
+    group, ds = classes[0][0].indexed()[0], range(1, 2 * pres.s + 1)
+
+    def at_zeta_t(spec, gens, z):
+        runs = ((0, tuple(c * z**i % p for i, c in enumerate(g))) for g in gens)
+        return [render_ideal(ideal_from(spec, (RingElement(spec, r),)))[1:-1] for r in runs]
+
+    for rho, _ in rng.sample(classes, min(4, len(classes))):
+        spec, gens = every_class_generators(pres, alpha, rho, ds)
+        images = tuple(
+            tuple(tuple(c * pow(zeta, e, p) % p for c in row) for row in m)
+            for m, (e,) in zip(rho.images, alpha.images)
+        )
+        twisted = MatrixRep(pres, p, 2, images)
+        assert every_class_entries(pres, alpha, twisted, ds) == at_zeta_t(spec, gens, zeta)
+        for twin, z in twins(rho, alpha):
+            assert twin in reps and twin != rho.indexed()[1]
+            assert group.least_conjugate(twin) == twin
+            want = at_zeta_t(spec, gens, z)
+            assert every_class_entries(pres, alpha, reps[twin], ds) == want
+
+
 def test_gl_twins_fuse_the_paper_tables_rows(monkeypatch):
     # the 46 Table 3 operations of the benchmark's paper-tables workload
-    # evaluate 693 rows for their 1,081 classes: all 147 over SL(2;Z_2),
-    # which has no twins, and 546 for the 934 classes over SL(2;Z_3)
+    # evaluate 436 rows for their 1,081 classes: all 147 over SL(2;Z_2),
+    # which has no twins, and 289 for the 934 classes over SL(2;Z_3), lent
+    # across GL-conjugation and the central twist by -1
     from foxcalc import invariants
 
     counts = {"classes": 0, "rows": 0}
-    fuse = invariants._per_gl_class
+    fuse = invariants._per_orbit
 
-    def counting(classes, row):
+    def counting(classes, row, alpha=None):
         counts["classes"] += len(classes)
 
         def counted(rho):
             counts["rows"] += 1
             return row(rho)
 
-        return fuse(classes, counted)
+        return fuse(classes, counted, alpha)
 
-    monkeypatch.setattr(invariants, "_per_gl_class", counting)
+    monkeypatch.setattr(invariants, "_per_orbit", counting)
     seen = []
     for p in (2, 3):
         for key in YOSHIKAWA_KEYS:
             surfacelink_invariant(catalog_lookup(f"yoshikawa:{key}").presentation, p=p)
         seen.append(dict(counts))
-    assert seen == [{"classes": 147, "rows": 147}, {"classes": 1081, "rows": 693}]
+    assert seen == [{"classes": 147, "rows": 147}, {"classes": 1081, "rows": 436}]
