@@ -339,6 +339,23 @@ def ideal_from(spec, gens):
     return Ideal(spec, gens)
 
 
+def principal_ideal(spec, g):
+    """(g) in normal form, g the coefficients of a generator as
+    smith.zp_elementary yields them over Z_p in one variable: () for (0),
+    (1,) for (1), else monic with a nonzero constant term.  Over
+    Z_p[t^±1], {p, g} is already the reduced strong basis of the saturated
+    ideal of Z[t] that ideal_normalize would build; a finite order still
+    goes through ideal_normalize."""
+    if not g:
+        return Ideal(spec, (), NormalForm.ZERO)
+    gens = (RingElement(spec, (0, g)),)
+    if len(g) == 1:
+        return Ideal(spec, gens, NormalForm.UNIT)
+    if spec.is_finite():
+        return ideal_normalize(Ideal(spec, gens))
+    return Ideal(spec, gens, NormalForm.GB, (((spec.modulus,), g),))
+
+
 def _regime(spec):
     if spec.is_finite():
         return "finite"

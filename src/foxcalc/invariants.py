@@ -7,13 +7,13 @@ import enum
 import functools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add
+from itertools import chain, cycle, repeat
 
-from .ideals import ideal_from, ideal_normalize, render_ideal
+from .ideals import ideal_from, ideal_normalize, principal_ideal, render_ideal
 from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes, twins
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, finite_size_ok, normalize_sign
-from .smith import by_shape, zp_elementary
+from .smith import by_shape, zp_divisors, zp_elementary
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
 
@@ -83,10 +83,6 @@ def _fox_rows(pres, alpha, rho):
     """
     orders = [k for _, k in alpha.variables]
     group, gens = rho.indexed()
-
-    def advance(vec, x, step, h, e):
-        return tuple(v + e * d for v, d in zip(vec, step)), group.mul(x, group.power(h, e))
-
     for rel in pres.relators:
         _check_walk_degree(rel, alpha, orders)
         # blocks[column][a][b]: {exponent vector: coefficient}
@@ -95,20 +91,22 @@ def _fox_rows(pres, alpha, rho):
         for g, e in rel.letters:
             step, h, cells = alpha.images[g], gens[g], blocks[g]
             sign, count = (1, e) if e > 0 else (-1, -e)
-            if e < 0:
-                vec, x = advance(vec, x, step, h, e)
+            after = tuple(v + e * d for v, d in zip(vec, step)), group.mul(x, group.power(h, e))
+            if e < 0:  # the terms start from the prefix times x_g^e
+                vec, x = after
             period = _period(step, orders, group.order(h)) if count > 1 else 0
             steps = min(count, period or count)
             q, r = divmod(count, steps)
-            exps, y = vec, x
-            for j in range(steps):
-                w = sign * (q + 1 if j < r else q)
+            # term j: w t^(vec + j step) rho(x h^j), w the count of terms it stands for
+            ys = [group.mul(x, group.power(h, j)) for j in range(min(steps, group.order(h)))]
+            ws = chain(repeat(sign * (q + 1), r), repeat(sign * q, steps - r))
+            runs = [range(v, v + d * steps, d) if d else repeat(v) for v, d in zip(vec, step)]
+            terms = zip(zip(*runs) if runs else repeat(()), ws, cycle(ys))  # steps of them, as ws
+            for exps, w, y in terms:
                 for a, b, c in group.nonzero[y]:
                     cell = cells[a][b]
                     cell[exps] = cell.get(exps, 0) + w * c
-                exps, y = tuple(map(add, exps, step)), group.mul(y, h)
-            if e > 0:  # unfolded, the walk ended on the next prefix
-                vec, x = (exps, y) if steps == count else advance(vec, x, step, h, e)
+            vec, x = after
         for a in range(rho.n):
             yield [cell for block in blocks for cell in block[a]]
 
@@ -158,9 +156,8 @@ def elementary_ideals(m, ds):
     """E_d in normal form, d in ds, lazily and in order: by smith.py where
     _by_smith, else from the minors of m's E_d-preserving unit-pivot reduction."""
     if _by_smith(m.spec):
-        rows = ([e.run for e in row] for row in m.entries)
-        ideals = zp_elementary(m.spec, rows, m.declared_rows, m.declared_cols, ds)
-        return (_principal(m.spec, g) for g in ideals)
+        gens = zp_elementary(m.spec, lambda: m.zp_divisors, m.declared_rows, m.declared_cols, ds)
+        return (principal_ideal(m.spec, g) for g in gens)
     m = reduce_matrix(m)
     return (ideal_normalize(minors_ideal(m, d)) for d in ds)
 
@@ -177,11 +174,6 @@ def _by_smith(spec):
     return spec.nvars == 1 and spec.modulus and (not spec.is_finite() or finite_size_ok(spec))
 
 
-def _principal(spec, g):
-    """In normal form, the ideal that a zp_elementary generator generates."""
-    return ideal_normalize(ideal_from(spec, (RingElement(spec, (0, g)),)))
-
-
 def _table(spec):
     """(entries, render).  entries(pres, alpha, rho, ds): the E_d of a
     twisted matrix over spec, lazily, as zp_elementary generators, by
@@ -189,7 +181,7 @@ def _table(spec):
     give (0) or (1) over a ring past FINITE_SIZE_CAP and refuse any other
     ideal.  render(row): a row of generators as table entries, each distinct
     row and generator rendered once per _table."""
-    entry = functools.cache(lambda g: render_ideal(_principal(spec, g))[1:-1])
+    entry = functools.cache(lambda g: render_ideal(principal_ideal(spec, g))[1:-1])
     render = functools.cache(lambda row: tuple(map(entry, row)))
     by_smith = _by_smith(spec)
 
@@ -198,7 +190,8 @@ def _table(spec):
             ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), ds)
             return ((1,) if e.is_unit() else () for e in ideals)
         rows = ([cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho))
-        return zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds)
+        divisors = functools.partial(zp_divisors, rows, spec.modulus)
+        return zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds)
 
     return entries, render
 

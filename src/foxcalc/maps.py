@@ -352,9 +352,10 @@ def hom_classes(pres, n=2, p=2, special=True):
     gives them.  Backtracks over generator images: the first runs over the
     least element of each conjugacy class, each later one over the least
     element of each orbit of the stabilizer of the images so far, and each
-    relator is checked once its last generator has an image.  The class
-    size is the group order over the stabilizer of all images.  More than
-    HOM_SEARCH_NODE_CAP images tried raises MapError.
+    relator is checked once its last generator has an image; depth first,
+    by an explicit stack.  The class size is the group order over the
+    stabilizer of all images.  More than HOM_SEARCH_NODE_CAP images tried
+    raises MapError.
     """
     group = _indexed_group(n, p, special)
     order, s = len(group.elements), pres.s
@@ -362,26 +363,23 @@ def hom_classes(pres, n=2, p=2, special=True):
     for rel in pres.relators:
         if rel.letters:
             checks[max(g for g, _ in rel.letters)].append(rel.letters)
-    images = [group.identity] * s
-    found = []
-    nodes = 0
-
-    def extend(i, stabilizer):
-        nonlocal nodes
-        if i == s:
-            found.append((tuple(images), order // len(stabilizer)))
-            return
-        for x, child in group.orbits(stabilizer)[0].items():
+    images, found, nodes = [group.identity] * s, [], 0
+    stack = [(-1, None, group.everything)]  # (generator, its image, stabilizer)
+    while stack:
+        i, x, stabilizer = stack.pop()
+        if i >= 0:
             nodes += 1
             if nodes > HOM_SEARCH_NODE_CAP:
                 raise MapError(
                     f"hom search over HOM_SEARCH_NODE_CAP = {HOM_SEARCH_NODE_CAP} nodes"
                 )
             images[i] = x
-            if all(group.word(letters, images) == group.identity for letters in checks[i]):
-                extend(i + 1, child)
-
-    extend(0, group.everything)
+            if not all(group.word(letters, images) == group.identity for letters in checks[i]):
+                continue
+        if i + 1 == s:
+            found.append((tuple(images), order // len(stabilizer)))
+        else:  # pushed in reverse, so popped in the orbit table's order
+            stack += [(i + 1, *child) for child in reversed(group.orbits(stabilizer)[0].items())]
     return [(_rep(pres, group, n, special, t), size) for t, size in found]
 
 

@@ -28,6 +28,7 @@ over Z_p in one variable and by sympy otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd, prod
@@ -246,27 +247,10 @@ class RingElement:
 
     def render(self):
         """Canonical string: terms ascending in graded-lex order, e.g. '1+t'."""
-        if self.is_zero():
-            return "0"
         names = [n for n, _ in self.spec.variables]
-        pieces = []
-        for exps, c in self.sorted_terms():
-            mono = "".join(
-                n if e == 1 else f"{n}^{e}"
-                for n, e in zip(names, exps)
-                if e != 0
-            )
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}{mono}"
-            pieces.append(piece)
-        return pieces[0] + "".join(
-            piece if piece.startswith("-") else "+" + piece for piece in pieces[1:]
+        return _render_terms(
+            (c, "".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e))
+            for exps, c in self.sorted_terms()
         )
 
 
@@ -322,6 +306,23 @@ class _DenseElement(RingElement):
     def sorted_terms(self):
         val = self.valuation
         return [((val + i,), c) for i, c in enumerate(self.coeffs) if c]
+
+    def render(self):
+        n = self.spec.variables[0][0]
+        return _render_terms(
+            (c, n if e == 1 else f"{n}^{e}" if e else "")
+            for e, c in enumerate(self.coeffs, self.valuation)
+            if c
+        )
+
+
+def _render_terms(terms):
+    """(coefficient, monomial text) pairs, '' the text of 1, as '0' or as
+    signed terms, e.g. '1+t-2t^2'."""
+    s = "".join(
+        f"+{m}" if c == 1 and m else f"-{m}" if c == -1 and m else f"{c:+}{m}" for c, m in terms
+    )
+    return s[1:] if s[:1] == "+" else s or "0"
 
 
 def run_addmul(a, q, b):
@@ -411,6 +412,13 @@ class RingMatrix:
         if any(len(r) != ncols for r in rows):
             raise RingError("ragged matrix")
         return cls(spec, rows, len(rows), ncols)
+
+    @functools.cached_property
+    def zp_divisors(self):
+        """smith.zp_divisors of the entries, one variable over Z_p: one
+        elimination per matrix, on first use."""
+        from .smith import zp_divisors
+        return zp_divisors([[e.run for e in row] for row in self.entries], self.spec.modulus)
 
 
 def det(spec, rows):

@@ -67,20 +67,21 @@ def by_shape(nrows, ncols, d):
     return (1,) if q <= 0 else () if q > nrows else None
 
 
-def zp_elementary(spec, rows, nrows, ncols, ds):
+def zp_elementary(spec, divisors, nrows, ncols, ds):
     """E_d, d in ds, lazily and in order, of an nrows x ncols matrix as its
-    monic generator, () for (0); rows: per row, its entries' runs, read only
-    if some E_d needs them.  With q = ncols - d, E_d is by_shape, or (0) if
-    q exceeds the rank, else (Delta_q); at order k, folded by t^k = 1, (0)
-    if that is 0, (1) if a monomial, else (gcd(that, t^k - 1))."""
+    monic generator, () for (0); divisors(): the matrix's zp_divisors,
+    called once if some E_d needs them.  With q = ncols - d, E_d is
+    by_shape, or (0) if q exceeds the rank, else (Delta_q); at order k,
+    folded by t^k = 1, (0) if that is 0, (1) if a monomial, else
+    (gcd(that, t^k - 1))."""
     p, k = spec.modulus, spec.variables[0][1]
-    divisors = None
+    deltas = None
     for d in ds:
         g = by_shape(nrows, ncols, d)
         if g is None:
-            if divisors is None:
-                divisors = zp_divisors(rows, p)
-            g = divisors[ncols - d - 1] if ncols - d <= len(divisors) else ()
+            if deltas is None:
+                deltas = divisors()
+            g = deltas[ncols - d - 1] if ncols - d <= len(deltas) else ()
             if k and len(g) > 1:  # fold it by t^k = 1, and drop its power of t
                 g = RingElement(spec, (0, g)).coeffs
                 if len(g) > 1:

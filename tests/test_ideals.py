@@ -24,6 +24,7 @@ from foxcalc.ideals import (
     ideal_from,
     ideal_normalize,
     minimal_generating_set,
+    principal_ideal,
     probe_compare,
     render_ideal,
     strong_groebner,
@@ -37,7 +38,7 @@ from foxcalc.ideals import (
     zp_trim,
 )
 from foxcalc.invariants import alexander_matrix, minors_ideal
-from foxcalc.rings import RingElement, RingError, ring_make, term_key
+from foxcalc.rings import FINITE_SIZE_CAP, RingElement, RingError, ring_make, term_key
 
 ZT = ring_make(0, (("t", 0),))
 Z2T = ring_make(2, (("t", 2),))
@@ -794,3 +795,50 @@ def integral_multivariate_ideal_pairs(draw):
 def test_probe_compare_matches_element_reference(pair):
     a, b = pair
     assert probe_compare(a, b) is _ref_probe_compare(a, b)
+
+
+@st.composite
+def principal_generators(draw):
+    """(spec, g): g monic with g(0) != 0 over Z_p[t^±1], p <= 7, or a monic
+    divisor of t^k - 1 over Z_p[t]/(t^k - 1) within FINITE_SIZE_CAP, as
+    smith.zp_elementary yields generators; () for (0) and (1,) for (1)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    if draw(st.booleans()):
+        spec = ring_make(p, (("t", 0),))
+        inner = draw(st.lists(st.integers(0, p - 1), max_size=11))
+        g = (draw(st.integers(1, p - 1)), *inner, 1)
+    else:
+        k = draw(st.integers(1, max(k for k in range(1, 17) if p**k <= FINITE_SIZE_CAP)))
+        spec = ring_make(p, (("t", k),))
+        f = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=k))
+        g = gfp_gcd_reference(f, (-1,) + (0,) * (k - 1) + (1,), p) if any(f) else ()
+    return spec, draw(st.sampled_from(((), (1,), g, g, g)))
+
+
+def _render_outcome(ideal):
+    try:
+        return render_ideal(ideal)
+    except RingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    principal_generators(),
+    st.lists(laurent_terms, max_size=3),
+    st.lists(laurent_terms, max_size=2),
+)
+def test_principal_ideal_matches_ideal_normalize(case, terms, factors):
+    spec, g = case
+    got = principal_ideal(spec, g)
+    gen = RingElement(spec, (0, g))
+    want = ideal_normalize(ideal_from(spec, (gen,)))
+    assert (got.normal_form, got.data) == (want.normal_form, want.data)
+    assert _render_outcome(got) == _render_outcome(want)
+    assert ideal_compare(got, want) is Comparison.EQUAL_PROVEN
+    elems = [RingElement(spec, t) for t in terms]
+    elems += [RingElement(spec, t) * gen for t in factors]  # members of (g)
+    for e in elems:
+        assert ideal_contains(got, e) == ideal_contains(want, e)
+        other = ideal_from(spec, (e,))
+        assert ideal_compare(got, other) is ideal_compare(want, other)

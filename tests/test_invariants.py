@@ -16,13 +16,13 @@ from foxcalc.catalog import (
     theta_wirtinger_presentation,
 )
 from foxcalc.fox import fox_derive
-from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_normalize, render_ideal
+from foxcalc.ideals import ideal_contains, ideal_equals, ideal_from, ideal_normalize
+from foxcalc.ideals import principal_ideal, render_ideal
 from foxcalc.invariants import (
     InvariantTable,
     TableKind,
     _fox_rows,
     _merge_rows,
-    _principal,
     _table,
     alexander_matrix,
     alexander_polynomial,
@@ -46,7 +46,7 @@ from foxcalc.maps import (
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
 from foxcalc.rings import RingElement, RingMatrix, cell_run, reduce_matrix, ring_make
-from foxcalc.smith import by_shape, zp_elementary
+from foxcalc.smith import by_shape, zp_divisors, zp_elementary
 
 ZT = ring_make(0, (("t", 0),))
 
@@ -346,6 +346,37 @@ def test_shape_decided_handlebody_tables_walk_no_relator(source, monkeypatch):
     assert walks == []
 
 
+
+def test_one_elimination_per_matrix(monkeypatch):
+    # E_d asked one d at a time of one matrix costs one Smith elimination;
+    # none where the shape decides every d asked; a fresh, equal matrix pays
+    # for its own
+    from foxcalc import smith
+
+    calls, divisors = [], smith.zp_divisors
+
+    def counting(rows, p):
+        calls.append(p)
+        return divisors(rows, p)
+
+    monkeypatch.setattr(smith, "zp_divisors", counting)
+    pres = theta_presentation(5)
+    alpha, rho = theta_alpha(pres, 5), lemma36_rho(pres, 5)
+    m = twisted_matrix(pres, alpha, rho)
+    ds = range(m.declared_cols + 2)
+    got = [render_ideal(elementary_ideal(m, d)) for d in ds]
+    assert got == ["(0)"] * 8 + ["(1+t)"] + ["(1)"] * 3  # Theorem 3.7 at n = 5
+    assert len(calls) == 1
+    fresh = twisted_matrix(pres, alpha, rho)
+    assert fresh == m
+    shaped = [d for d in ds if by_shape(m.declared_rows, m.declared_cols, d) is not None]
+    assert shaped == [*range(8), 10, 11]  # 2 x 10: only E_8 and E_9 need the elimination
+    assert [render_ideal(elementary_ideal(fresh, d)) for d in shaped] == ["(0)"] * 8 + ["(1)"] * 2
+    assert len(calls) == 1
+    assert render_ideal(elementary_ideal(fresh, 8)) == "(1+t)"
+    assert len(calls) == 2
+
+
 def test_row_render_keeps_parentheses_of_several_generators():
     table = InvariantTable(
         TableKind.ROW_FORM, ((("0", "1+t+t^2", "1+2t,1+t", "1"), 1),), 0
@@ -509,13 +540,14 @@ def every_class_generators(pres, alpha, rho, ds):
     of one class, on the Fox walk of that very class, with no row lent."""
     spec = ring_make(rho.p, alpha.variables)
     rows = [[cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho)]
-    return spec, list(zp_elementary(spec, rows, rho.n * pres.t, rho.n * pres.s, ds))
+    divisors = lambda: zp_divisors(rows, rho.p)
+    return spec, list(zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds))
 
 
 def every_class_entries(pres, alpha, rho, ds):
     """E_d of the twisted matrix of one class, as table entries."""
     spec, gens = every_class_generators(pres, alpha, rho, ds)
-    return [render_ideal(_principal(spec, g))[1:-1] for g in gens]
+    return [render_ideal(principal_ideal(spec, g))[1:-1] for g in gens]
 
 
 def brute_force_least_conjugate(group, images):

@@ -399,3 +399,22 @@ def test_hom_search_node_cap(monkeypatch):
     monkeypatch.setattr(maps, "HOM_SEARCH_NODE_CAP", 1000)
     with pytest.raises(MapError, match="HOM_SEARCH_NODE_CAP = 1000"):
         hom_classes(pres, n=2, p=2)
+
+
+def test_hom_classes_leaves_no_reference_cycle():
+    # the search holds no closure over itself, so a table's classes are
+    # freed by reference counting, with nothing left for the cycle collector
+    import gc
+
+    from foxcalc.catalog import catalog_lookup
+    from foxcalc.invariants import surfacelink_invariant
+
+    pres = catalog_lookup("yoshikawa:10_1^0,0,1").presentation
+    surfacelink_invariant(pres, p=3)  # the target group, built once per process
+    gc.collect()
+    gc.disable()
+    try:
+        surfacelink_invariant(pres, p=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -243,6 +243,26 @@ def test_render_ascending():
     assert ZT.monomial((-2,), 1).render() == "t^-2"
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0, 2, 3, 5, 7]),
+    st.sampled_from([0, 0, 1, 2, 3, 7]),
+    st.sampled_from(["t", "u", "x1", "s_2"]),
+    st.integers(-12, 12),
+    st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40)), max_size=12),
+)
+def test_dense_render_matches_term_map_render(p, k, name, val, coeffs):
+    # the one-pass render of a run against the generic render of its terms,
+    # the same terms in a term map (a second variable at exponent 0), and
+    # the tests' own reference
+    spec = ring_make(p, ((name, k),))
+    e = RingElement(spec, (val, coeffs))
+    wide = ring_make(p, ((name, k), ("z", 0)))
+    terms = RingElement(wide, {(d, 0): c for (d,), c in e.terms.items()})
+    assert e.render() == RingElement.render(e) == terms.render() == _ref_render(spec, e.terms)
+
+
 def perm_det(spec, rows):
     n = len(rows)
     total = spec.zero()
