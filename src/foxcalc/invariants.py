@@ -96,12 +96,15 @@ def _fox_rows(pres, alpha, rho):
                 vec, x = after
             period = _period(step, orders, group.order(h)) if count > 1 else 0
             steps = min(count, period or count)
-            q, r = divmod(count, steps)
             # term j: w t^(vec + j step) rho(x h^j), w the count of terms it stands for
-            ys = [group.mul(x, group.power(h, j)) for j in range(min(steps, group.order(h)))]
-            ws = chain(repeat(sign * (q + 1), r), repeat(sign * q, steps - r))
-            runs = [range(v, v + d * steps, d) if d else repeat(v) for v, d in zip(vec, step)]
-            terms = zip(zip(*runs) if runs else repeat(()), ws, cycle(ys))  # steps of them, as ws
+            if steps == 1:
+                terms = ((vec, sign * count, x),)
+            else:
+                q, r = divmod(count, steps)
+                ys = [group.mul(x, group.power(h, j)) for j in range(min(steps, group.order(h)))]
+                ws = chain(repeat(sign * (q + 1), r), repeat(sign * q, steps - r))
+                runs = [range(v, v + d * steps, d) if d else repeat(v) for v, d in zip(vec, step)]
+                terms = zip(zip(*runs) if runs else repeat(()), ws, cycle(ys))  # as many as ws
             for exps, w, y in terms:
                 for a, b, c in group.nonzero[y]:
                     cell = cells[a][b]

@@ -353,7 +353,7 @@ def hom_classes(pres, n=2, p=2, special=True):
     least element of each conjugacy class, each later one over the least
     element of each orbit of the stabilizer of the images so far, and each
     relator is checked once its last generator has an image; depth first,
-    by an explicit stack.  The class size is the group order over the
+    by a stack of iterators.  The class size is the group order over the
     stabilizer of all images.  More than HOM_SEARCH_NODE_CAP images tried
     raises MapError.
     """
@@ -363,23 +363,27 @@ def hom_classes(pres, n=2, p=2, special=True):
     for rel in pres.relators:
         if rel.letters:
             checks[max(g for g, _ in rel.letters)].append(rel.letters)
-    images, found, nodes = [group.identity] * s, [], 0
-    stack = [(-1, None, group.everything)]  # (generator, its image, stabilizer)
-    while stack:
-        i, x, stabilizer = stack.pop()
-        if i >= 0:
+    images, nodes = [group.identity] * s, 0
+    found = [] if s else [((), 1)]
+    # levels[i]: the images left to try for generator i, with their stabilizers
+    levels = [iter(group.orbits(group.everything)[0].items())] if s else []
+    while levels:
+        i = len(levels) - 1
+        for x, child in levels[i]:
             nodes += 1
             if nodes > HOM_SEARCH_NODE_CAP:
                 raise MapError(
                     f"hom search over HOM_SEARCH_NODE_CAP = {HOM_SEARCH_NODE_CAP} nodes"
                 )
             images[i] = x
-            if not all(group.word(letters, images) == group.identity for letters in checks[i]):
-                continue
-        if i + 1 == s:
-            found.append((tuple(images), order // len(stabilizer)))
-        else:  # pushed in reverse, so popped in the orbit table's order
-            stack += [(i + 1, *child) for child in reversed(group.orbits(stabilizer)[0].items())]
+            if all(group.word(letters, images) == group.identity for letters in checks[i]):
+                if i + 1 == s:
+                    found.append((tuple(images), order // len(child)))
+                else:
+                    levels.append(iter(group.orbits(child)[0].items()))
+                    break
+        else:
+            levels.pop()
     return [(_rep(pres, group, n, special, t), size) for t, size in found]
 
 
