@@ -1,27 +1,28 @@
-"""Finitely generated ideals in the three ring regimes the tables need.
+"""Finitely generated ideals in the four ring regimes the tables need.
 
 Normalization dispatches on the ring spec:
 
-  (a) finite rings (p > 0, all orders finite): the ideal is a Z_p-subspace
-      of the monomial basis, row reduced from the generators' coefficient
-      vectors, whose monomial multiples permute their entries; the whole
-      ring exactly when the span has one row per monomial.  A render is a
-      greedy, then irredundant, generating set of span vectors.
-  (b) univariate rings over Z or Z_p that are not finite: Z, Z[t^±1],
-      Z[t]/(t^k - 1) and Z_p[t^±1].  The reduced strong Groebner basis over
-      Z[t], built from S-polynomials and gcd-polynomials, gives exact
-      membership: full reduction by it takes exactly the members to zero.
-      Laurent generators are shifted to polynomials, and the ideal they
-      generate in Z[t] is saturated by t, so that it is the unique
-      preimage of the Laurent ideal; a finite order k adjoins t^k - 1,
-      and a modulus p adjoins the constant p.  Over Z_p the basis
-      is {p, g}, g the monic gcd with coefficients in [0, p).  A render
-      lists the images of the basis elements in the ring, each once and
-      none that is zero, so neither p nor t^k - 1 is printed.
-  (c) anything else: generators only; equality falls back to probing in
+  (a) one variable over Z_p: Z_p[t^±1] and Z_p[t]/(t^k - 1), quotients of
+      the PID Z_p[t].  The ideal is (g), g monic with g(0) != 0, at order k
+      a divisor of t^k - 1: the gcd of the generators by smith.zp_divisors,
+      folded by smith.zp_fold.  Membership is division by g.  A render is
+      g at infinite order, else a greedy, then irredundant, generating set
+      of the elements, tested by division and gcd against g.
+  (b) finite rings in several variables: the ideal is a Z_p-subspace of
+      the monomial basis, row reduced from the generators' coefficient
+      vectors, whose monomial multiples permute their entries.  A render
+      is a greedy, then irredundant, generating set of span vectors.
+  (c) Z, Z[t^±1] and Z[t]/(t^k - 1): the reduced strong Groebner basis
+      over Z[t], from S- and gcd-polynomials, whose full reduction takes
+      exactly the members to zero, of the generators shifted to
+      polynomials, saturated by t over the Laurent ring, so that it is the
+      unique preimage of the Laurent ideal, with t^k - 1 adjoined at order
+      k.  A render lists the basis's images in the ring, each once and none
+      that is zero, so t^k - 1 is not printed.
+  (d) anything else: generators only; equality falls back to probing in
       finite quotients and is three-valued.
 
-The normal forms of (a) and (b) are unique, so equality there is decided by
+The normal forms of (a) to (c) are unique, so equality there is decided by
 comparing them.  An ideal in UNIT form carries no normal-form data.
 """
 
@@ -34,9 +35,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .rings import FINITE_SIZE_CAP, RingElement, RingSpec, RingError, check_degree
-from .rings import finite_size_ok, normalize_sign, ring_make, term_key
+from .rings import normalize_sign, ring_make, run_addmul, term_key
+from .smith import zp_code_search, zp_divisors, zp_fold, zp_lift, zp_rem
 
-DISPLAY_SIZE_CAP = 2**12
+DISPLAY_SIZE_CAP = 2**12  # elements of a finite ideal whose generating set is searched
 GROEBNER_WORK_CAP = 3 * 10**7  # coefficients one strong_groebner's reductions touch
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
@@ -44,6 +46,7 @@ PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 class NormalForm(enum.Enum):
     ZERO = "zero"
     UNIT = "unit"
+    PRINCIPAL = "principal"
     FINITE_SET = "finite_set"
     GB = "gb"
     GENERATORS_ONLY = "generators_only"
@@ -239,9 +242,6 @@ def _monomial_index(spec):
 
 def _elem_to_vector(elem, index):
     vec = [0] * len(index)
-    if elem.spec.nvars == 1:  # the position of t^e is e
-        vec[elem.valuation : elem.valuation + len(elem.coeffs)] = elem.coeffs
-        return vec
     for exps, c in elem.terms.items():
         vec[index[exps]] = c
     return vec
@@ -318,7 +318,7 @@ class Ideal:
     spec: RingSpec
     generators: tuple
     normal_form: NormalForm = NormalForm.GENERATORS_ONLY
-    data: tuple = ()  # normal-form payload (GB tuple or span basis)
+    data: tuple = ()  # normal-form payload (monic generator, GB tuple or span basis)
 
     def is_zero(self):
         return self.normal_form is NormalForm.ZERO
@@ -340,46 +340,34 @@ def ideal_from(spec, gens):
 
 
 def principal_ideal(spec, g):
-    """(g) in normal form, g the coefficients of a generator as
-    smith.zp_elementary yields them over Z_p in one variable: () for (0),
-    (1,) for (1), else monic with a nonzero constant term.  Over
-    Z_p[t^±1], {p, g} is already the reduced strong basis of the saturated
-    ideal of Z[t] that ideal_normalize would build; a finite order still
-    goes through ideal_normalize."""
+    """(g) in normal form, one variable over Z_p, g the coefficients of its
+    generator as smith.zp_elementary yields them: () for (0), (1,) for (1),
+    else monic with a nonzero constant term, at a finite order k a divisor
+    of t^k - 1 of degree below k."""
     if not g:
         return Ideal(spec, (), NormalForm.ZERO)
     gens = (RingElement(spec, (0, g)),)
     if len(g) == 1:
         return Ideal(spec, gens, NormalForm.UNIT)
-    if spec.is_finite():
-        return ideal_normalize(Ideal(spec, gens))
-    return Ideal(spec, gens, NormalForm.GB, (((spec.modulus,), g),))
+    return Ideal(spec, gens, NormalForm.PRINCIPAL, (g,))
 
 
 def _regime(spec):
+    if spec.nvars == 1 and spec.modulus:
+        return "principal"
     if spec.is_finite():
         return "finite"
     if spec.nvars <= 1:
-        return "univariate"  # Z, or one variable of infinite order or over Z
+        return "univariate"  # Z, or one variable over Z
     return "other"
 
 
 def _to_zpoly(elem):
-    """Univariate ring element -> dense Z[t] polynomial, Laurent-shifted:
-    a one-variable element's coefficients, within DEGREE_CAP by construction."""
+    """A ring element in one variable or none as a dense Z[t] polynomial, shifted."""
     if elem.spec.nvars == 0:
         c = elem.terms.get((), 0)
         return (c,) if c else ()
     return elem.coeffs
-
-
-def _quotient_modulus_poly(spec):
-    """t^k - 1 when the single variable has finite order k, else None."""
-    if spec.nvars == 1 and spec.variables[0][1] > 0:
-        k = spec.variables[0][1]
-        check_degree(k)
-        return zp_trim([-1] + [0] * (k - 1) + [1])
-    return None
 
 
 def _zpoly_to_elem(spec, poly):
@@ -429,8 +417,12 @@ def ideal_normalize(ideal):
     gens = ideal.generators
     if not gens:
         return Ideal(spec, (), NormalForm.ZERO)
+    if regime == "principal":
+        k, p = spec.variables[0][1], spec.modulus
+        g = next(iter(zp_divisors([[zp_lift(e.run, k) for e in gens]], p)), ())
+        return principal_ideal(spec, zp_fold(g, k, p))
     if regime == "finite":
-        if not finite_size_ok(spec):
+        if spec.monomial_count() > FINITE_SIZE_CAP or spec.size() > FINITE_SIZE_CAP:
             raise RingError(f"finite ring over FINITE_SIZE_CAP = {FINITE_SIZE_CAP}")
         basis, pivots = finite_ideal_span(spec, gens)
         if len(basis) == spec.monomial_count():
@@ -439,25 +431,22 @@ def ideal_normalize(ideal):
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.FINITE_SET, (basis, pivots))
     if regime == "univariate":
-        p, quot = spec.modulus, _quotient_modulus_poly(spec)
-        polys = [_to_zpoly(g) for g in gens]
-        if p:
-            polys.append((p,))  # Z_p[t^±1] = Z[t^±1] / (p)
-        if quot:
-            polys.append(quot)
-        gb = strong_groebner(polys)
-        if spec.nvars == 1 and not quot:
+        k = spec.variables[0][1] if spec.nvars else 0
+        check_degree(k)
+        quot = [(-1,) + (0,) * (k - 1) + (1,)] if k else []  # t^k - 1
+        gb = strong_groebner([_to_zpoly(g) for g in gens] + quot)
+        if spec.nvars == 1 and not k:
             gb = _saturate(gb)
         if gb == ((1,),):
             return Ideal(spec, gens, NormalForm.UNIT)
-        if gb in ((), ((p,),)):
+        if not gb:
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.GB, (gb,))
     return Ideal(spec, gens, NormalForm.GENERATORS_ONLY)
 
 
 def ideal_contains(ideal, elem):
-    """Exact membership in regimes (a) and (b)."""
+    """Exact membership in regimes (a) to (c)."""
     ideal = ideal_normalize(ideal)
     if elem.spec != ideal.spec:
         raise RingError("spec mismatch")
@@ -468,6 +457,8 @@ def ideal_contains(ideal, elem):
         return False
     if nf is NormalForm.UNIT:
         return True
+    if nf is NormalForm.PRINCIPAL:  # g | f, as g(0) != 0 and, at order k, g | t^k - 1
+        return not zp_rem(elem.coeffs, ideal.data[0], ideal.spec.modulus)[1]
     if nf is NormalForm.FINITE_SET:
         _, index = _monomial_index(ideal.spec)
         return _in_span(_elem_to_vector(elem, index), *ideal.data, ideal.spec.modulus)
@@ -478,11 +469,11 @@ def ideal_contains(ideal, elem):
 
 
 def ideal_compare(a, b):
-    """Three-valued equality; exact in regimes (a) and (b), probed otherwise.
+    """Three-valued equality; exact in regimes (a) to (c), probed otherwise.
 
-    In regimes (a) and (b) the normal form is unique (RREF span, reduced
-    strong basis of the saturated ideal), so equal ideals have equal
-    (normal_form, data).
+    In regimes (a) to (c) the normal form is unique (monic generator, RREF
+    span, reduced strong basis of the saturated ideal), so equal ideals
+    have equal (normal_form, data).
     """
     if a.spec != b.spec:
         raise RingError("spec mismatch")
@@ -538,45 +529,52 @@ def _elem_sort_key(elem):
 
 
 def minimal_generating_set(ideal):
-    """Irredundant generating set of a FINITE_SET ideal, canonical order.
-
-    Greedy over the nonzero elements in canonical order, then one pass that
-    drops each generator the ones still kept already generate.  Works on
-    Z_p vectors; only the returned generators become ring elements."""
+    """Irredundant generating set of a FINITE_SET ideal, or of a PRINCIPAL
+    one at a finite order, canonical order: greedy over the nonzero
+    elements in canonical order, then one pass that drops each generator
+    the ones still kept already generate.  Elements are Z_p vectors, spans
+    their echelon rows and pivots, or, for (g), cofactors and gcds as
+    smith.zp_code_search gives them; only the generators returned become
+    ring elements."""
     ideal = ideal_normalize(ideal)
-    spec = ideal.spec
-    p = spec.modulus
-    basis = ideal.data[0]
-    if p ** len(basis) > DISPLAY_SIZE_CAP:
+    spec, basis = ideal.spec, ideal.data[0]
+    p, principal = spec.modulus, ideal.normal_form is NormalForm.PRINCIPAL  # basis: g
+    n = spec.variables[0][1] + 1 - len(basis) if principal else len(basis)
+    if n >= DISPLAY_SIZE_CAP.bit_length() or p**n > DISPLAY_SIZE_CAP:  # 2^n > the cap
         raise RingError(
-            f"finite ideal of {p}^{len(basis)} elements"
-            f" over DISPLAY_SIZE_CAP = {DISPLAY_SIZE_CAP}"
+            f"finite ideal of {p}^{n} elements over DISPLAY_SIZE_CAP = {DISPLAY_SIZE_CAP}"
         )
-    monomials, _ = _monomial_index(spec)
-    shifts = _shifts(spec)
-    elems = []
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        vec = [0] * len(monomials)
-        for c, row in zip(combo, basis):
-            vec = [(a + c * b) % p for a, b in zip(vec, row)]
-        if any(vec):
-            elems.append(vec)
-    # positions follow graded-lex order, the order of term_key, so this is
-    # the order of _elem_sort_key on the elements
-    elems.sort(key=lambda vec: [(i, c) for i, c in enumerate(vec) if c])
-    out, span = [], ((), ())  # span: echelon rows and pivots of (out)
-    for vec in elems:
-        if _in_span(vec, *span, p):
-            continue
-        out.append(vec)
-        span = _vector_span(out, shifts, p)
-        if span[0] == basis:
-            break
-    for vec in tuple(out):
-        rest = [g for g in out if g != vec]
-        if rest and _vector_span(rest, shifts, p)[0] == basis:
+    if principal:
+        elems, span, inside, whole = zp_code_search(basis, spec.variables[0][1], p)
+        make = lambda f: RingElement(spec, run_addmul((0, ()), (0, f), (0, basis)))
+    else:
+        monomials, _ = _monomial_index(spec)
+        shifts = _shifts(spec)
+        elems = []
+        for combo in itertools.product(range(p), repeat=len(basis)):
+            vec = [0] * len(monomials)
+            for c, row in zip(combo, basis):
+                vec = [(a + c * b) % p for a, b in zip(vec, row)]
+            if any(vec):
+                elems.append(vec)
+        # positions follow graded-lex order, the order of term_key, so this
+        # is the order of _elem_sort_key on the elements
+        elems.sort(key=lambda vec: [(i, c) for i, c in enumerate(vec) if c])
+        span, whole = (lambda vs: _vector_span(vs, shifts, p)), ideal.data
+        inside = lambda vec, s: _in_span(vec, *s, p)
+        make = lambda vec: RingElement(spec, {m: c for m, c in zip(monomials, vec) if c})
+    out, s = [], span([])
+    for v in elems:
+        if not inside(v, s):
+            out.append(v)
+            s = span(out)
+            if s == whole:
+                break
+    for v in tuple(out):
+        rest = [x for x in out if x != v]
+        if rest and span(rest) == whole:
             out = rest
-    return tuple(RingElement(spec, {m: c for m, c in zip(monomials, vec) if c}) for vec in out)
+    return tuple(map(make, out))
 
 
 def render_ideal(ideal):
@@ -587,12 +585,14 @@ def render_ideal(ideal):
         return "(0)"
     if nf is NormalForm.UNIT:
         return "(1)"
+    if nf is NormalForm.PRINCIPAL and not ideal.spec.variables[0][1]:
+        return "(" + RingElement(ideal.spec, (0, ideal.data[0])).render() + ")"
     if nf is NormalForm.GB:
-        # the basis can hold p or t^k - 1, which are zero in the ring, and
-        # over Z[t]/(t^k - 1) two of its elements can have the same image
+        # the basis can hold t^k - 1, which is zero in the ring, and over
+        # Z[t]/(t^k - 1) two of its elements can have the same image
         images = dict.fromkeys(_zpoly_to_elem(ideal.spec, g).render() for g in ideal.data[0])
         return "(" + ",".join(r for r in images if r != "0") + ")"
-    if nf is NormalForm.FINITE_SET:
+    if nf in (NormalForm.FINITE_SET, NormalForm.PRINCIPAL):
         gens = minimal_generating_set(ideal)
         return "(" + ",".join(g.render() for g in gens) + ")"
     gens = sorted(ideal.generators, key=_elem_sort_key)

@@ -12,10 +12,11 @@ from itertools import chain, cycle, repeat
 from .ideals import ideal_from, ideal_normalize, principal_ideal, render_ideal
 from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes, twins
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
-from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, finite_size_ok, normalize_sign
-from .smith import by_shape, zp_divisors, zp_elementary
+from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, normalize_sign
+from .smith import by_shape, zp_divisors, zp_elementary, zp_lift
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
+TABLE_ENTRY_CAP = 5 * 10**5  # classes times epimorphisms of a table1 the shape leaves open
 
 
 class TableKind(enum.Enum):
@@ -156,9 +157,10 @@ def minors_ideal(m, d):
 
 
 def elementary_ideals(m, ds):
-    """E_d in normal form, d in ds, lazily and in order: by smith.py where
-    _by_smith, else from the minors of m's E_d-preserving unit-pivot reduction."""
-    if _by_smith(m.spec):
+    """E_d in normal form, d in ds, lazily and in order: by smith.py in one
+    variable over Z_p, else from the minors of m's E_d-preserving unit-pivot
+    reduction."""
+    if m.spec.nvars == 1 and m.spec.modulus:
         gens = zp_elementary(m.spec, lambda: m.zp_divisors, m.declared_rows, m.declared_cols, ds)
         return (principal_ideal(m.spec, g) for g in gens)
     m = reduce_matrix(m)
@@ -170,29 +172,19 @@ def elementary_ideal(m, d):
     return next(elementary_ideals(m, (d,)))
 
 
-def _by_smith(spec):
-    """One variable over Z_p, and a finite order only within FINITE_SIZE_CAP:
-    a larger ring's E_d, (0), (1) or refused, come from minors, not from an
-    elimination on entries that span up to the order."""
-    return spec.nvars == 1 and spec.modulus and (not spec.is_finite() or finite_size_ok(spec))
-
-
 def _table(spec):
-    """(entries, render).  entries(pres, alpha, rho, ds): the E_d of a
-    twisted matrix over spec, lazily, as zp_elementary generators, by
-    zp_elementary on the Fox walk's cells, or else from the minors, which
-    give (0) or (1) over a ring past FINITE_SIZE_CAP and refuse any other
-    ideal.  render(row): a row of generators as table entries, each distinct
-    row and generator rendered once per _table."""
+    """(entries, render), one variable over Z_p.  entries(pres, alpha, rho,
+    ds): the E_d of a twisted matrix over spec, lazily, as zp_elementary
+    generators, by zp_elementary on the least-span lifts of the Fox walk's
+    cells.  render(row): a row of generators as table entries, each
+    distinct row and generator rendered once per _table."""
     entry = functools.cache(lambda g: render_ideal(principal_ideal(spec, g))[1:-1])
     render = functools.cache(lambda row: tuple(map(entry, row)))
-    by_smith = _by_smith(spec)
+    k = spec.variables[0][1]
 
     def entries(pres, alpha, rho, ds):
-        if not by_smith:
-            ideals = elementary_ideals(twisted_matrix(pres, alpha, rho), ds)
-            return ((1,) if e.is_unit() else () for e in ideals)
-        rows = ([cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho))
+        walk = _fox_rows(pres, alpha, rho)
+        rows = ([zp_lift(cell_run(spec, cell), k) for cell in row] for row in walk)
         divisors = functools.partial(zp_divisors, rows, spec.modulus)
         return zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds)
 
@@ -206,7 +198,10 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
     over all column permutations, of the matrix with its rows sorted,
     found by least_sorted_rows without trying every permutation.  A row is
     evaluated once per GL(n;Z_p)-class of classes, see _per_orbit; the
-    columns vary alpha, so no central twist lends a row.
+    columns vary alpha, so no central twist lends a row.  Where the shape
+    decides every entry, every row is the first class's, whose walk refuses
+    what any class's would; else a table of more than TABLE_ENTRY_CAP
+    entries is refused before any is evaluated.
     """
     epis = enumerate_epis(pres, k)
     entries, render = _table(ring_make(p, (("t", k),)))  # the target of every epi
@@ -216,9 +211,11 @@ def handlebody_invariant(pres, p=2, k=2, d=4, n=2):
         return tuple(next(entries(pres, alpha, rho, (d,))) for alpha in epis)
 
     if by_shape(n * pres.t, n * pres.s, d) is not None:
-        # the shape decides every entry, on either route: every row is the
-        # first class's, whose walk refuses what any class's would
         best = [render(row(classes[0][0]))] * len(classes)
+    elif len(classes) * len(epis) > TABLE_ENTRY_CAP:
+        raise MapError(
+            f"{len(classes)} x {len(epis)} table entries over TABLE_ENTRY_CAP = {TABLE_ENTRY_CAP}"
+        )
     else:
         best = least_sorted_rows(list(map(render, _per_orbit(classes, row))), len(epis))
     return InvariantTable(TableKind.MATRIX_FORM, _merge_rows(best), len(epis))
@@ -304,8 +301,7 @@ def surfacelink_invariant(pres, p=2, k=2, n=2):
     first 1.  E_d ascends with d, and E_{n s} is (1), so none is left out.
     A row is evaluated once per orbit of classes under GL(n;Z_p)-conjugation
     and the central twists rho -> rho zeta^alpha, alpha sending every
-    generator to t, see _per_orbit; on the minors route, past
-    FINITE_SIZE_CAP, zeta stays 1."""
+    generator to t, see _per_orbit."""
     alpha = cyclic_map(pres, (1,) * pres.s, k)
     spec = ring_make(p, alpha.variables)
     entries, render = _table(spec)
@@ -318,7 +314,7 @@ def surfacelink_invariant(pres, p=2, k=2, n=2):
                 break
         return tuple(gens)
 
-    lent = _per_orbit(hom_classes(pres, n=n, p=p), row, alpha if _by_smith(spec) else None)
+    lent = _per_orbit(hom_classes(pres, n=n, p=p), row, alpha)
     rows = sorted(map(render, lent), key=lambda r: (len(r), r))
     return InvariantTable(TableKind.ROW_FORM, _merge_rows(rows), 0)
 

@@ -37,7 +37,7 @@ from operator import add
 DET_CAP = 10
 DEGREE_CAP = 10**6  # of a dense univariate polynomial, t^k - 1 included
 MINOR_CAP = 10**5  # q x q minors of one t x s matrix, C(t, q) * C(s, q)
-FINITE_SIZE_CAP = 2**16  # elements of a finite ring whose ideals are spans
+FINITE_SIZE_CAP = 2**16  # elements of a finite ring in several variables, its ideals spans
 
 
 class RingError(ValueError):
@@ -348,11 +348,6 @@ def check_degree(d):
         raise RingError(f"polynomial degree {d} over DEGREE_CAP = {DEGREE_CAP}")
 
 
-def finite_size_ok(spec):
-    # p^k needs k bits: compare the monomial count first
-    return spec.monomial_count() <= FINITE_SIZE_CAP and spec.size() <= FINITE_SIZE_CAP
-
-
 def cell_run(spec, terms):
     """The run of RingElement(spec, terms), one variable, not building it:
     its exponents folded mod the order k when k > 0, then trimmed."""
@@ -415,10 +410,11 @@ class RingMatrix:
 
     @functools.cached_property
     def zp_divisors(self):
-        """smith.zp_divisors of the entries, one variable over Z_p: one
-        elimination per matrix, on first use."""
-        from .smith import zp_divisors
-        return zp_divisors([[e.run for e in row] for row in self.entries], self.spec.modulus)
+        """smith.zp_divisors of the entries' least-span lifts, one variable
+        over Z_p: one elimination per matrix, on first use."""
+        from .smith import zp_divisors, zp_lift
+        k, p = self.spec.variables[0][1], self.spec.modulus
+        return zp_divisors([[zp_lift(e.run, k) for e in row] for row in self.entries], p)
 
 
 def det(spec, rows):

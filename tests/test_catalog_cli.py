@@ -178,11 +178,12 @@ def test_cli_ideal_laurent_saturated(capsys):
 
 
 def test_cli_finite_size_cap(capsys):
-    # Z_2[t]/(t^(10^9) - 1) is over FINITE_SIZE_CAP; its size p^k is never formed
+    # over Z_2[t]/(t^(10^9) - 1) E_1 = (1 + t) has 2^(10^9 - 1) elements, too
+    # many to render; neither that size nor t^(10^9) - 1 is ever formed
     alpha = "x=t,y=t@t^1000000000"
     assert main(["ideal", "< x, y | x y x^-1 y^-1 >", "--alpha", alpha, "--p", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "FINITE_SIZE_CAP" in err
+    assert err == "error: finite ideal of 2^999999999 elements over DISPLAY_SIZE_CAP = 4096\n"
     # the whole ring needs no normal form
     assert main(["ideal", "< x | >", "--alpha", "x=t@t^1000000000", "--p", "2"]) == 0
     assert capsys.readouterr().out == "E_1 = (1)\n"
@@ -206,11 +207,40 @@ def test_cli_minor_cap_exit_1(capsys):
 
 def test_cli_finite_size_cap_before_an_elimination_over_long_entries(capsys):
     # over Z_2[t]/(t^999999 - 1) entries such as 1 + t^999996 span almost the
-    # whole order; a ring over FINITE_SIZE_CAP takes E_d from the minors, so
-    # E_1 is refused at once, with no Smith elimination on such entries
+    # whole order; the elimination takes their least-span lifts, such as
+    # t^-3 + 1, so E_1 is found at once and then refused by its render
     source = "< x, y | x y x^-1 y^-1, x^2 y x^-2 y^-1 >"
-    assert main(["ideal", source, "--alpha", "x=t^-2,y=t^-3@t^999999", "--p", "2"]) == 1
-    assert capsys.readouterr().err == "error: finite ring over FINITE_SIZE_CAP = 65536\n"
+    argv = ["ideal", source, "--alpha", "x=t^-2,y=t^-3@t^999999", "--p", "2", "--all-d"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert out == "E_0 = (0)\n"
+    assert err == "error: finite ideal of 2^999998 elements over DISPLAY_SIZE_CAP = 4096\n"
+
+
+@pytest.mark.parametrize(
+    "argv, limit, want",
+    [
+        # E_1 = (1 + t + t^2) over Z_2[t^±1], whose gcd with t^20 - 1 is 1
+        (["ideal", "< x, y | x^3 y^-3 >", "--alpha", "x=t,y=t@t^20", "--p", "2"], 10, 0),
+        # Delta_2 of the trivial class's matrix would have degree 1,032,704
+        (["table3", "< x, y, z | x^2147483647 y^-2147483647 >", "--k", "1000000", "--p", "2"],
+         20, "DEGREE_CAP"),
+        # 296 classes by 2,304 epimorphisms, refused before any entry is evaluated
+        (["table1", "< x, y | x^-60 y^60 >", "--p", "5", "--k", "60", "--d", "2"],
+         10, "TABLE_ENTRY_CAP"),
+    ],
+)
+def test_cli_one_variable_zp_at_large_orders(capsys, argv, limit, want):
+    start = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - start < limit
+    out, err = capsys.readouterr()
+    if want == 0:
+        assert (rc, out) == (0, "E_1 = (1)\n")
+    else:
+        assert rc == 1 and err.startswith("error: ") and want in err, err
 
 
 def test_cli_table3_row_render_keeps_parentheses(capsys):
@@ -243,10 +273,10 @@ def test_cli_epi_search_budget_exit_1(capsys, argv):
         (["table1", "< x, y, z | >", "--p", "2", "--k", "17", "--d", "1"], "0", 4912, 49),
     ],
 )
-def test_cli_shape_decided_table1_past_finite_size_cap(capsys, argv, entry, columns, classes):
-    # p^k past FINITE_SIZE_CAP, so E_d comes from the minors, and with no
-    # relators the shape decides every entry: one class's row is evaluated,
-    # in well under a second, where evaluating every row took 4 to 7 s
+def test_cli_shape_decided_table1_at_large_orders(capsys, argv, entry, columns, classes):
+    # p^k far past FINITE_SIZE_CAP, and with no relators the shape decides
+    # every entry: one class's row is evaluated, in well under a second,
+    # where evaluating every row took 4 to 7 s
     start = time.perf_counter()
     assert main(argv) == 0
     assert time.perf_counter() - start < 3
@@ -371,13 +401,13 @@ def test_cli_parse_errors_exit_2(capsys):
 @st.composite
 def cli_argvs(draw):
     """A command line of any subcommand: a random presentation, exponents up
-    to 2^31 - 1, alpha targets of order 0 to 6 or any text, --p from 0 to 7
-    (to 5 where it picks a target group, 3 with three generators, whose free
-    group has 29,288 classes over SL(2;Z_5)), table1 orders 1000 and 10^6 as
-    well, whose k^s epimorphism assignments the search budget refuses but for
-    k = 1000 on one generator, and the subcommand's flags, each present or
-    not.  Order 60 and large table3 orders wait for a budget on the minors
-    route, which they reach with minutes of work (ROADMAP item 1)."""
+    to 2^31 - 1, alpha targets of order 0 to 6, 60, 1000 or 10^6 or any
+    text, --p from 0 to 7 (to 5 where it picks a target group, 3 with three
+    generators, whose free group has 29,288 classes over SL(2;Z_5)), table1
+    and table3 orders 60, 1000 and 10^6 as well, whose k^s epimorphism
+    assignments the search budget refuses for table1 but for k = 60 and
+    1000 on one generator and k = 60 on two, and the subcommand's flags,
+    each present or not."""
     command = draw(st.sampled_from(["ideal", "twisted", "reps", "table1", "table3", "verify"]))
     s = draw(st.integers(1, 3))
     names = ("x", "y", "z")[:s]
@@ -394,7 +424,7 @@ def cli_argvs(draw):
         relators.append(" ".join(f"{g}^{e}" for g, e in word))
     source = f"< {', '.join(names)} | {', '.join(r for r in relators if r)} >"
     source = draw(st.sampled_from([source, source, "theta:3", "yoshikawa:6_1^0,1", "nope:1"]))
-    order = draw(st.integers(0, 6))
+    order = draw(st.one_of(st.integers(0, 6), st.sampled_from([60, 1000, 10**6])))
     if draw(st.booleans()):
         images = ",".join(f"{g}=t^{draw(exponent)}" for g in names)
     else:
@@ -415,9 +445,7 @@ def cli_argvs(draw):
     elif command == "reps":
         rest = [source] + flag("p", target_p)
     elif command in ("table1", "table3"):
-        orders = st.integers(-1, 4)
-        if command == "table1":
-            orders = st.one_of(orders, st.sampled_from([1000, 10**6]))
+        orders = st.one_of(st.integers(-1, 4), st.sampled_from([60, 1000, 10**6]))
         rest = [source] + flag("p", target_p) + flag("k", orders)
         rest += (flag("d", d) if command == "table1" else []) + ["--json"] * draw(st.booleans())
     else:

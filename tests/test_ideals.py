@@ -476,7 +476,7 @@ def test_ideal_normalize_unit_does_no_work(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Z_p[t^±1] through the strong basis with p adjoined, against GF(p) Euclid.
+# Z_p[t^±1] through the monic gcd, against GF(p) Euclid.
 
 
 def gfp_gcd_reference(a, b, p):
@@ -627,20 +627,21 @@ def _ref_greedy(spec, basis):
     return tuple(out)
 
 
-# Reference greedy: a fresh normalized ideal per candidate and one more span
-# per pick, as minimal_generating_set did before it kept one running span;
-# and the unit test by reducing the vector of 1.
+# Reference greedy: a fresh span per candidate and one more span per pick, as
+# minimal_generating_set did before it kept one running span; and the unit
+# test by reducing the vector of 1.
 
 
 def _ref_minimal_generating_set(ideal):
-    ideal = ideal_normalize(ideal)
     spec = ideal.spec
-    basis, _ = ideal.data
+    basis, _ = _ref_finite_ideal_span(spec, ideal.generators)
     elems = [e for e in _ref_finite_elements(spec, basis) if not e.is_zero()]
     elems.sort(key=_ref_elem_sort_key)
+    index = {m: i for i, m in enumerate(spec.all_monomials())}
     out = []
     for e in elems:
-        if out and ideal_contains(ideal_normalize(ideal_from(spec, tuple(out))), e):
+        span = _ref_finite_ideal_span(spec, out)
+        if out and _ref_in_span(_ref_vector(e, index), *span, spec.modulus):
             continue
         out.append(e)
         if _ref_finite_ideal_span(spec, out)[0] == basis:
@@ -693,9 +694,9 @@ def test_minimal_generating_set_matches_greedy_reference(case):
     ideal = ideal_normalize(ideal_from(spec, gens))
     nonzero = [g for g in gens if not g.is_zero()]
     assert ideal.is_unit() == (bool(nonzero) and _ref_is_unit(spec, nonzero))
-    if ideal.normal_form is not NormalForm.FINITE_SET:
+    if ideal.is_zero() or ideal.is_unit():
         return
-    want = _ref_minimal_generating_set(ideal)
+    want = _ref_minimal_generating_set(ideal_from(spec, gens))
     assert minimal_generating_set(ideal) == want
     assert render_ideal(ideal) == "(" + ",".join(g.render() for g in want) + ")"
 
@@ -798,47 +799,86 @@ def test_probe_compare_matches_element_reference(pair):
 
 
 @st.composite
-def principal_generators(draw):
-    """(spec, g): g monic with g(0) != 0 over Z_p[t^±1], p <= 7, or a monic
-    divisor of t^k - 1 over Z_p[t]/(t^k - 1) within FINITE_SIZE_CAP, as
-    smith.zp_elementary yields generators; () for (0) and (1,) for (1)."""
+def one_variable_zp_ideals(draw):
+    """(spec, gens, others): 1 to 3 generators of an ideal of Z_p[t^±1] or of
+    Z_p[t]/(t^k - 1) within FINITE_SIZE_CAP, p <= 7, often sharing factors
+    t - a so that the ideal is proper, and three more elements."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    if draw(st.booleans()):
-        spec = ring_make(p, (("t", 0),))
-        inner = draw(st.lists(st.integers(0, p - 1), max_size=11))
-        g = (draw(st.integers(1, p - 1)), *inner, 1)
-    else:
-        k = draw(st.integers(1, max(k for k in range(1, 17) if p**k <= FINITE_SIZE_CAP)))
-        spec = ring_make(p, (("t", k),))
-        f = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=k))
-        g = gfp_gcd_reference(f, (-1,) + (0,) * (k - 1) + (1,), p) if any(f) else ()
-    return spec, draw(st.sampled_from(((), (1,), g, g, g)))
+    finite = st.sampled_from([k for k in range(1, 17) if p**k <= FINITE_SIZE_CAP])
+    spec = ring_make(p, (("t", draw(st.one_of(st.just(0), finite))),))
+    exps = st.tuples(st.integers(-3, 5))
+    elems = st.dictionaries(exps, st.integers(0, p - 1), max_size=4)
+    elems = elems.map(lambda terms: RingElement(spec, terms))
+    nonzero = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4)
+    gens = draw(st.lists(st.one_of(elems, nonzero.map(lambda terms: RingElement(spec, terms))),
+                         min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        factor = _t(spec) - spec.from_int(draw(st.integers(1, p - 1)))
+        gens = [g * factor for g in gens]
+    return spec, tuple(gens), draw(st.lists(elems, min_size=3, max_size=3))
 
 
-def _render_outcome(ideal):
+def _render_outcome(render):
     try:
-        return render_ideal(ideal)
+        return render()
     except RingError as exc:
         return type(exc), str(exc)
 
 
+def _one_variable_zp_reference(spec, gens):
+    """(normal form, membership test, render) of the ideal by the references
+    that stay: the span over Z_p at a finite order, rendered by the greedy
+    over ring elements, and else the strong basis of Z[t] with p adjoined,
+    saturated by t, rendered by its images, as Z_p[t^±1] was normalized
+    before its normal form became the monic generator."""
+    p, nonzero = spec.modulus, [g for g in gens if not g.is_zero()]
+    if spec.is_finite():
+        basis, pivots = finite_ideal_span(spec, nonzero)
+        index = {m: i for i, m in enumerate(spec.all_monomials())}
+
+        def member(f):
+            return _ref_in_span(_ref_vector(f, index), basis, pivots, p)
+
+        def render():
+            if len(basis) in (0, spec.monomial_count()):
+                return "(0)" if not basis else "(1)"
+            if p ** len(basis) > ideals_module.DISPLAY_SIZE_CAP:
+                raise RingError(
+                    f"finite ideal of {p}^{len(basis)} elements"
+                    f" over DISPLAY_SIZE_CAP = {ideals_module.DISPLAY_SIZE_CAP}"
+                )
+            return "(" + ",".join(g.render() for g in _ref_greedy(spec, basis)) + ")"
+
+        return (basis, pivots), member, render
+    gb = _saturate(strong_groebner([_to_zpoly(g) for g in nonzero] + [(p,)]))
+
+    def render():
+        images = dict.fromkeys(RingElement(spec, (0, g)).render() for g in gb)
+        return "(" + (",".join(r for r in images if r != "0") or "0") + ")"
+
+    return gb, lambda f: not zp_reduce(_to_zpoly(f), gb), render
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    principal_generators(),
-    st.lists(laurent_terms, max_size=3),
-    st.lists(laurent_terms, max_size=2),
-)
-def test_principal_ideal_matches_ideal_normalize(case, terms, factors):
-    spec, g = case
-    got = principal_ideal(spec, g)
-    gen = RingElement(spec, (0, g))
-    want = ideal_normalize(ideal_from(spec, (gen,)))
-    assert (got.normal_form, got.data) == (want.normal_form, want.data)
-    assert _render_outcome(got) == _render_outcome(want)
-    assert ideal_compare(got, want) is Comparison.EQUAL_PROVEN
-    elems = [RingElement(spec, t) for t in terms]
-    elems += [RingElement(spec, t) * gen for t in factors]  # members of (g)
-    for e in elems:
-        assert ideal_contains(got, e) == ideal_contains(want, e)
-        other = ideal_from(spec, (e,))
-        assert ideal_compare(got, other) is ideal_compare(want, other)
+@given(one_variable_zp_ideals())
+def test_principal_ideal_matches_ideal_normalize(case):
+    # the monic generator g as normal form, against the spans and the strong
+    # bases it replaced: renders, membership, comparison; and (g) built by
+    # principal_ideal, as from a Smith generator, is the normalized ideal
+    spec, gens, (f, h1, h2) = case
+    ideal = ideal_from(spec, gens)
+    want, member, render = _one_variable_zp_reference(spec, gens)
+    assert _render_outcome(lambda: render_ideal(ideal)) == _render_outcome(render)
+    got = ideal_normalize(ideal)
+    g = got.data[0] if got.normal_form is NormalForm.PRINCIPAL else () if got.is_zero() else (1,)
+    for single in (principal_ideal(spec, g), ideal_from(spec, (RingElement(spec, (0, g)),))):
+        single = ideal_normalize(single)
+        assert (single.normal_form, single.data) == (got.normal_form, got.data)
+    combo = gens[0] * h1 + gens[-1] * h2
+    for elem in (combo, f, h1 * f):
+        assert ideal_contains(ideal, elem) == member(elem)
+    shifted = tuple(g * spec.monomial((i,)) for i, g in enumerate(gens))
+    for other in (shifted + (combo,), gens[1:] + (f,), (f, h1)):
+        same = _one_variable_zp_reference(spec, other)[0] == want
+        expect = Comparison.EQUAL_PROVEN if same else Comparison.UNEQUAL_PROVEN
+        assert ideal_compare(ideal, ideal_from(spec, other)) is expect

@@ -30,7 +30,8 @@ from foxcalc.rings import (
     run_addmul,
     _trimmed,
 )
-from foxcalc.smith import zp_divisors
+from foxcalc import smith
+from foxcalc.smith import zp_divisors, zp_fold, zp_lift
 
 Z2T = ring_make(2, (("t", 2),))
 ZT = ring_make(0, (("t", 0),))
@@ -472,6 +473,39 @@ def test_zp_divisors_of_a_diagonal_needing_the_fold():
     # a power of t is a unit: Delta_1 of (t^3 (1 + t), t^-2 (1 + t)^2) is 1 + t
     assert zp_divisors([[(3, (1, 1)), (-2, (1, 2, 1))]], 3) == [(1, 1)]
     assert zp_divisors([[(0, ()), (0, ())], [(5, ()), (0, ())]], 2) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(1, 40),
+    st.lists(st.integers(0, 6), min_size=1, max_size=40),
+    st.integers(-50, 50),
+)
+def test_zp_lift_and_fold_match_references(p, k, cs, v):
+    # the lift of a folded run folds back to it and spans least among the
+    # lifts, k less the longest cyclic gap between its exponents
+    spec = ring_make(p, (("t", k),))
+    run = RingElement(spec, (v, cs)).run
+    lifted = zp_lift(run, k)
+    assert RingElement(spec, lifted).run == run
+    exps = [e for (e,), _ in RingElement(spec, run).sorted_terms()]
+    least = min(max((e - f) % k for e in exps) for f in exps) if exps else 0
+    assert max(len(lifted[1]) - 1, 0) == least
+    # the fold is gcd(g, t^k - 1), () when that is t^k - 1, by one division
+    # or, with DEGREE_CAP at 0, by square and multiply
+    g = zp_divisors([[lifted]], p)[0] if lifted[1] else ()
+    if len(g) < 2:
+        assert zp_fold(g, k, p) == g
+        return
+    (h,) = zp_divisors([[(0, g), (0, (p - 1,) + (0,) * (k - 1) + (1,))]], p)
+    want = () if len(h) == k + 1 else h
+    cap = smith.DEGREE_CAP
+    try:
+        for smith.DEGREE_CAP in (cap, 0):
+            assert zp_fold(g, k, p) == want
+    finally:
+        smith.DEGREE_CAP = cap
 
 
 def _outcome(compute):
