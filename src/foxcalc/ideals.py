@@ -17,10 +17,12 @@ Normalization dispatches on the ring spec:
       exactly the members to zero, of the generators shifted to
       polynomials, saturated by t over the Laurent ring, so that it is the
       unique preimage of the Laurent ideal, with t^k - 1 adjoined at order
-      k.  A render lists the basis's images in the ring, each once and none
-      that is zero, so t^k - 1 is not printed.
-  (d) anything else: generators only; equality falls back to probing in
-      finite quotients and is three-valued.
+      k.  Polynomials are coefficient runs, as in rings.py, and the data is
+      a tuple of runs.  A render lists the basis's images in the ring, each
+      once and none that is zero, so t^k - 1 is not printed.
+  (d) anything else: generators only, rendered shifted, sign-normalized,
+      sorted and each once; equality falls back to probing in finite
+      quotients and is three-valued.
 
 The normal forms of (a) to (c) are unique, so equality there is decided by
 comparing them.  An ideal in UNIT form carries no normal-form data.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .rings import FINITE_SIZE_CAP, RingElement, RingSpec, RingError, check_degree
-from .rings import normalize_sign, ring_make, run_addmul, term_key
+from .rings import _trimmed, normalize_sign, ring_make, run_addmul, term_key
 from .smith import zp_code_search, zp_divisors, zp_fold, zp_lift, zp_rem
 
 DISPLAY_SIZE_CAP = 2**12  # elements of a finite ideal whose generating set is searched
@@ -63,50 +65,8 @@ class UndecidableError(RingError):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over Z: tuples (c_0, ..., c_d), no trailing 0.
-
-
-def zp_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def zp_add(a, b):
-    n = max(len(a), len(b))
-    return zp_trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def zp_neg(a):
-    return tuple(-c for c in a)
-
-
-def zp_scale_shift(a, c, k):
-    """c * t^k * a"""
-    if c == 0 or not a:
-        return ()
-    return zp_trim([0] * k + [c * x for x in a])
-
-
-def zp_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return zp_trim(out)
-
-
-def zp_deg(a):
-    return len(a) - 1
-
-
-def zp_lc(a):
-    return a[-1]
+# Polynomials over Z: runs (valuation, coefficients), the valuation >= 0,
+# trimmed by rings._trimmed(v, cs, 0).
 
 
 def _ext_gcd(a, b):
@@ -122,7 +82,7 @@ def _ext_gcd(a, b):
 
 
 def zp_reduce(f, basis, work=None):
-    """Fully reduce f by a set of Z[t] polynomials (Euclidean on coefficients).
+    """Fully reduce the run f by a set of Z[t] runs (Euclidean on coefficients).
 
     Each coefficient, from the top down, is reduced by the first basis
     element, in the basis order, whose leading term reaches it and which
@@ -130,68 +90,59 @@ def zp_reduce(f, basis, work=None):
     the least |lc| of the elements reaching it.  Those elements change only
     at their degrees, so a coefficient already in [0, m) costs one test.  A
     constant tried first acts on each coefficient alone, so it reduces them
-    all in one pass.  Works in place on one list.  work: None, or a
-    one-item list holding what is left of a budget, which each subtraction
-    charges by the length of the basis element it subtracts.
+    all in one pass.  Works in place on one list, f's coefficients from
+    degree 0.  work: None, or a one-item list holding what is left of a
+    budget, which each subtraction charges by the degree + 1 of the basis
+    element it subtracts.
     """
-    cs = list(f)
-    if basis and len(basis[0]) == 1:
-        m = abs(basis[0][0])
+    cs = [0] * f[0] + list(f[1])
+    if basis and basis[0][0] + len(basis[0][1]) == 1:  # a constant first
+        m = abs(basis[0][1][0])
         cs = [c % m for c in cs]
-    pairs = [(g, abs(zp_lc(g))) for g in basis]
+    elems = [(v + len(gs) - 1, v, gs, abs(gs[-1])) for v, gs in basis]
     top = len(cs) - 1
-    for low in sorted({zp_deg(g) for g in basis if zp_deg(g) <= top}, reverse=True):
-        reach = [(g, l) for g, l in pairs if zp_deg(g) <= low]
-        m = min(l for _, l in reach)
+    for low in sorted({e[0] for e in elems if e[0] <= top}, reverse=True):
+        reach = [e for e in elems if e[0] <= low]
+        m = min(e[3] for e in reach)
         for d in range(top, low - 1, -1):
             c = cs[d]
             while not 0 <= c < m:
-                for g, l in reach:  # stops: the element with |lc| = m leaves c out
+                for dg, v, gs, l in reach:  # stops: the element with |lc| = m leaves c out
                     if not 0 <= c < l:
                         break
-                _sub_shifted(cs, g, (c - c % l) // zp_lc(g), d)
+                q = (c - c % l) // gs[-1]
+                for i, x in enumerate(gs, d - dg + v):  # cs -= q t^(d - deg g) g
+                    cs[i] -= q * x
                 c = cs[d]
                 if work is not None:
-                    work[0] -= len(g)
+                    work[0] -= dg + 1
                     if work[0] < 0:
                         raise RingError(
                             f"Groebner basis over GROEBNER_WORK_CAP = {GROEBNER_WORK_CAP}"
                             " coefficient operations"
                         )
         top = low - 1
-    return zp_trim(cs)
-
-
-def _sub_shifted(cs, g, q, d):
-    """cs -= q * t^(d - deg g) * g, in place."""
-    shift = d - zp_deg(g)
-    for j, x in enumerate(g):
-        cs[shift + j] -= q * x
-
-
-def _lead_divides(f, g):
-    """True if f's leading term divides g's: deg f <= deg g and lc f | lc g."""
-    return zp_deg(f) <= zp_deg(g) and zp_lc(g) % zp_lc(f) == 0
+    return _trimmed(0, cs, 0)
 
 
 def _pair_polys(f, g):
     """The S-polynomial (lcm of leading coefficients) and the G-polynomial
-    (Bezout combination reaching their gcd) of f and g."""
-    df, dg = zp_deg(f), zp_deg(g)
-    a, b = zp_lc(f), zp_lc(g)
-    d = max(df, dg)
-    l = a * b // gcd(a, b)
-    spoly = zp_add(
-        zp_scale_shift(f, l // a, d - df),
-        zp_neg(zp_scale_shift(g, l // b, d - dg)),
-    )
-    _, u, v = _ext_gcd(a, b)
-    gpoly = zp_add(zp_scale_shift(f, u, d - df), zp_scale_shift(g, v, d - dg))
-    return spoly, gpoly
+    (Bezout combination reaching their gcd) of the runs f and g, untrimmed:
+    s t^(d - deg f) f + q t^(d - deg g) g, d the larger degree, each by one
+    run_addmul."""
+    (vf, fs), (vg, gs) = f, g
+    df, dg, a, b = vf + len(fs) - 1, vg + len(gs) - 1, fs[-1], gs[-1]
+    d, l = max(df, dg), a * b // gcd(a, b)
+    _, u, w = _ext_gcd(a, b)
+    return [
+        run_addmul((vf + d - df, [s * x for x in fs]), (d - dg, (q,)), g)
+        for s, q in ((l // a, -(l // b)), (u, w))
+    ]
 
 
 def strong_groebner(gens):
-    """Reduced strong Groebner basis of an ideal of Z[t] (univariate).
+    """Reduced strong Groebner basis of an ideal of Z[t] (univariate), of
+    runs, by increasing degree.
 
     Incremental: the queue is worked smallest leading term first, which
     keeps coefficients small.  Each polynomial taken from it is fully
@@ -205,29 +156,31 @@ def strong_groebner(gens):
     basis, queue, work = [], [], [GROEBNER_WORK_CAP]
 
     def push(f):
-        if f:
-            heapq.heappush(queue, (zp_deg(f), abs(zp_lc(f)), f))
+        v, cs = _trimmed(*f, 0)
+        if cs:
+            heapq.heappush(queue, (v + len(cs) - 1, abs(cs[-1]), (v, cs)))
 
     for g in gens:
-        push(zp_trim(g))
+        push(g)
     while queue:
-        r = zp_reduce(heapq.heappop(queue)[2], basis, work)
-        if not r:
+        v, cs = zp_reduce(heapq.heappop(queue)[2], basis, work)
+        if not cs:
             continue
-        if zp_lc(r) < 0:
-            r = zp_neg(r)
-        for g in basis:
-            if _lead_divides(r, g):
+        if cs[-1] < 0:
+            cs = tuple(-c for c in cs)
+        r, d, lc, stay = (v, cs), v + len(cs) - 1, cs[-1], []
+        for g in basis:  # r's leading term divides g's: g goes back to the queue
+            if d <= g[0] + len(g[1]) - 1 and g[1][-1] % lc == 0:
                 push(g)
-        basis = [g for g in basis if not _lead_divides(r, g)]
-        for g in basis:
-            for f in _pair_polys(r, g):
-                push(f)
-        basis.append(r)
+            else:
+                stay.append(g)
+                for f in _pair_polys(r, g):
+                    push(f)
+        basis = stay + [r]
     # fully interreduce for a canonical presentation; in a minimal strong
     # basis no element's leading term reduces, so each stays positive
     reduced = [zp_reduce(g, basis[:i] + basis[i + 1 :], work) for i, g in enumerate(basis)]
-    return tuple(sorted(reduced, key=lambda g: (zp_deg(g), g)))
+    return tuple(sorted(reduced, key=lambda g: (g[0] + len(g[1]), g)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +271,7 @@ class Ideal:
     spec: RingSpec
     generators: tuple
     normal_form: NormalForm = NormalForm.GENERATORS_ONLY
-    data: tuple = ()  # normal-form payload (monic generator, GB tuple or span basis)
+    data: tuple = ()  # normal-form payload (monic generator, GB of runs or span basis)
 
     def is_zero(self):
         return self.normal_form is NormalForm.ZERO
@@ -363,17 +316,10 @@ def _regime(spec):
 
 
 def _to_zpoly(elem):
-    """A ring element in one variable or none as a dense Z[t] polynomial, shifted."""
+    """A ring element in one variable or none as a Z[t] run, shifted."""
     if elem.spec.nvars == 0:
-        c = elem.terms.get((), 0)
-        return (c,) if c else ()
-    return elem.coeffs
-
-
-def _zpoly_to_elem(spec, poly):
-    if spec.nvars == 0:
-        return spec.from_int(poly[0] if poly else 0)
-    return RingElement(spec, (0, poly))
+        return _trimmed(0, (elem.terms.get((), 0),), 0)
+    return 0, elem.coeffs
 
 
 def _colon_t(basis):
@@ -382,26 +328,27 @@ def _colon_t(basis):
     t*f = sum h_i g_i forces sum h_i(0) g_i(0) = 0, so J : t is J plus
     (sum l_i g_i)/t over the integer syzygies l of the constant terms g_i(0).
     One syzygy per element, against a running Bezout combination acc with
-    acc(0) = a = gcd of the constant terms so far, spans them all.
+    acc(0) = a = gcd of the constant terms so far, spans them all.  Each
+    combination scales acc and is formed by one run_addmul; a run with no
+    constant term (v, cs) divided by t is (v - 1, cs).
     """
-    out, acc, a = [], (), 0
+    out, acc, a = [], (0, ()), 0
     for g in basis:
-        h, u, w = _ext_gcd(a, g[0])
+        g0 = 0 if g[0] else g[1][0]
+        h, u, w = _ext_gcd(a, g0)
         if h == 0:  # g(0) = 0 and no constant term so far
             out.append(g)
             continue
-        out.append(
-            zp_add(zp_scale_shift(acc, g[0] // h, 0), zp_scale_shift(g, -(a // h), 0))
-        )
-        acc, a = zp_add(zp_scale_shift(acc, u, 0), zp_scale_shift(g, w, 0)), h
-    return [q[1:] for q in out if q]
+        out.append(run_addmul((acc[0], [g0 // h * x for x in acc[1]]), (0, (-(a // h),)), g))
+        acc, a = run_addmul((acc[0], [u * x for x in acc[1]]), (0, (w,)), g), h
+    return [(v - 1, cs) for v, cs in (_trimmed(*q, 0) for q in out) if cs]
 
 
 def _saturate(gb):
     """Strong basis of J : t^inf from a strong basis of J in Z[t]: the
     canonical preimage of the Laurent ideal that J generates."""
     while True:
-        new = [q for q in _colon_t(gb) if zp_reduce(q, gb)]
+        new = [q for q in _colon_t(gb) if zp_reduce(q, gb)[1]]
         if not new:
             return gb
         gb = strong_groebner(gb + tuple(new))
@@ -433,11 +380,11 @@ def ideal_normalize(ideal):
     if regime == "univariate":
         k = spec.variables[0][1] if spec.nvars else 0
         check_degree(k)
-        quot = [(-1,) + (0,) * (k - 1) + (1,)] if k else []  # t^k - 1
+        quot = [(0, (-1,) + (0,) * (k - 1) + (1,))] if k else []  # t^k - 1
         gb = strong_groebner([_to_zpoly(g) for g in gens] + quot)
         if spec.nvars == 1 and not k:
             gb = _saturate(gb)
-        if gb == ((1,),):
+        if gb == ((0, (1,)),):
             return Ideal(spec, gens, NormalForm.UNIT)
         if not gb:
             return Ideal(spec, (), NormalForm.ZERO)
@@ -464,7 +411,7 @@ def ideal_contains(ideal, elem):
         return _in_span(_elem_to_vector(elem, index), *ideal.data, ideal.spec.modulus)
     if nf is NormalForm.GB:
         # in a strong basis, full reduction takes exactly the members to zero
-        return not zp_reduce(_to_zpoly(elem), ideal.data[0])
+        return not zp_reduce(_to_zpoly(elem), ideal.data[0])[1]
     raise UndecidableError("membership undecidable in this ring regime")
 
 
@@ -590,10 +537,14 @@ def render_ideal(ideal):
     if nf is NormalForm.GB:
         # the basis can hold t^k - 1, which is zero in the ring, and over
         # Z[t]/(t^k - 1) two of its elements can have the same image
-        images = dict.fromkeys(_zpoly_to_elem(ideal.spec, g).render() for g in ideal.data[0])
+        spec = ideal.spec
+        images = dict.fromkeys(
+            (RingElement(spec, g) if spec.nvars else spec.from_int(g[1][0])).render()
+            for g in ideal.data[0]
+        )
         return "(" + ",".join(r for r in images if r != "0") + ")"
     if nf in (NormalForm.FINITE_SET, NormalForm.PRINCIPAL):
         gens = minimal_generating_set(ideal)
         return "(" + ",".join(g.render() for g in gens) + ")"
-    gens = sorted(ideal.generators, key=_elem_sort_key)
-    return "(" + ",".join(normalize_sign(g.shift_to_origin()).render() for g in gens) + ")"
+    gens = dict.fromkeys(normalize_sign(g.shift_to_origin()) for g in ideal.generators)
+    return "(" + ",".join(g.render() for g in sorted(gens, key=_elem_sort_key)) + ")"

@@ -146,14 +146,14 @@ def _check_walk_degree(rel, alpha, orders):
 
 def minors_ideal(m, d):
     """The d-th elementary ideal of an infinitely zero-padded t x s matrix,
-    as its generators: the whole ring if s-d <= 0, the zero ideal if
-    s-d > t, the (s-d)-minors otherwise.  Neither reduced nor normalized."""
+    as its generators: smith.by_shape's (1) or (0) where the shape decides,
+    the (s-d)-minors otherwise.  Neither reduced nor normalized."""
     if d < 0:
         raise RingError("d must be >= 0")
-    q = m.declared_cols - d
-    if q <= 0:
-        return ideal_from(m.spec, (m.spec.one(),))
-    return ideal_from(m.spec, tuple(minors(m, q)))  # no minors when q > t
+    g = by_shape(m.declared_rows, m.declared_cols, d)
+    if g is not None:
+        return ideal_from(m.spec, (m.spec.one(),) if g else ())
+    return ideal_from(m.spec, tuple(minors(m, m.declared_cols - d)))
 
 
 def elementary_ideals(m, ds):

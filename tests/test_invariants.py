@@ -77,6 +77,19 @@ def test_elementary_ideal_conventions():
     assert elementary_ideal(m, 5).is_unit()
 
 
+def test_elementary_ideals_over_rings_with_no_variables():
+    # x, y -> 1: the Fox matrix is [[2, -2], [4, 0]], with determinant 8
+    pres = parse_presentation("< x, y | x^2 y^-2, x^4 >")
+    alpha = abelian_map(pres, ((), ()), ())
+    for p, want in [
+        (0, ["(8)", "(2)", "(1)", "(1)"]),
+        (2, ["(0)", "(0)", "(1)", "(1)"]),  # Z_2, a finite ring
+        (3, ["(1)", "(1)", "(1)", "(1)"]),
+    ]:
+        m = alexander_matrix(pres, alpha, p)
+        assert [render_ideal(elementary_ideal(m, d)) for d in range(4)] == want, p
+
+
 def test_ideal_chain_is_ascending():
     # E_d is contained in E_{d+1} for the theta-curve matrices
     for n in (3, 4, 5):
