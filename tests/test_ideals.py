@@ -98,7 +98,7 @@ def _run(cs):
 def _dense(run):
     """A Z[t] run as a coefficient tuple."""
     v, cs = run
-    return (0,) * v + cs if cs else ()
+    return (0,) * v + cs
 
 
 def reduce_tuples(f, basis):
