@@ -10,6 +10,7 @@ Also the line-oriented presentation file format:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .maps import cyclic_map
@@ -20,8 +21,6 @@ from .presentations import ParseError, Presentation, Word, parse_presentation, p
 class CatalogEntry:
     key: str
     presentation: Presentation
-    default_alpha: object  # AbelianMap or None
-    note: str
 
 
 def theta_presentation(n):
@@ -46,34 +45,14 @@ def theta_wirtinger_presentation(n):
     """
     if n < 3:
         raise ParseError("theta index must be >= 3")
-    names = (
-        tuple(f"x{i}" for i in range(1, n + 1))
-        + tuple(f"y{i}" for i in range(1, n + 1))
-        + tuple(f"z{i}" for i in range(1, n + 1))
+    pairs = [(i, i - 1 or n) for i in range(1, n + 1)]
+    gens = ", ".join(f"{c}{i}" for c in "xyz" for i in range(1, n + 1))
+    rels = (
+        [f"x{i} x{j} y{i}^-1 x{j}^-1" for i, j in pairs]
+        + [f"z{j} x{i} x{j}^-1 x{i}^-1" for i, j in pairs]
+        + [" ".join(f"z{i}" for i in [n, *range(1, n)])]
     )
-
-    def x(i):
-        return ((i - 1) % n)
-
-    def y(i):
-        return n + ((i - 1) % n)
-
-    def z(i):
-        return 2 * n + ((i - 1) % n)
-
-    relators = []
-    for i in range(1, n + 1):
-        prev = n if i == 1 else i - 1
-        relators.append(
-            Word(((x(i), 1), (x(prev), 1), (y(i), -1), (x(prev), -1)))
-        )
-    for i in range(1, n + 1):
-        prev = n if i == 1 else i - 1
-        relators.append(
-            Word(((z(prev), 1), (x(i), 1), (x(prev), -1), (x(i), -1)))
-        )
-    relators.append(Word(tuple((z(i), 1) for i in [n] + list(range(1, n)))))
-    return Presentation(names, tuple(relators))
+    return parse_presentation(f"< {gens} | {', '.join(rels)} >")
 
 
 def theta_alpha(pres, n):
@@ -126,21 +105,15 @@ YOSHIKAWA_KEYS = tuple(_YOSHIKAWA)
 def catalog_lookup(key):
     """Resolve `theta:<n>`, `theta-wirtinger:<n>`, or `yoshikawa:<id>`."""
     if key.startswith("theta:"):
-        n = _parse_index(key[len("theta:") :])
-        pres = theta_presentation(n)
-        return CatalogEntry(key, pres, theta_alpha(pres, n), f"theta-{n} curve group")
+        return CatalogEntry(key, theta_presentation(_parse_index(key[len("theta:") :])))
     if key.startswith("theta-wirtinger:"):
         n = _parse_index(key[len("theta-wirtinger:") :])
-        pres = theta_wirtinger_presentation(n)
-        alpha = theta_wirtinger_alpha(pres, n, [1] * (n - 1) + [1 - n])
-        return CatalogEntry(key, pres, alpha, f"theta-{n} Wirtinger presentation")
+        return CatalogEntry(key, theta_wirtinger_presentation(n))
     if key.startswith("yoshikawa:"):
         ident = key[len("yoshikawa:") :]
         if ident not in _YOSHIKAWA:
             raise ParseError(f"unknown surface-link id {ident!r}")
-        pres = parse_presentation(_YOSHIKAWA[ident])
-        alpha = cyclic_map(pres, (1,) * pres.s, 2)
-        return CatalogEntry(key, pres, alpha, f"surface-link {ident} group")
+        return CatalogEntry(key, parse_presentation(_YOSHIKAWA[ident]))
     raise ParseError(f"unknown catalog key {key!r}")
 
 
@@ -188,15 +161,17 @@ def parse_presentation_file(text):
 
 
 def load_presentation(source):
-    """A catalog key, an inline `< ... | ... >` form, or a file path."""
+    """(presentation, catalog entry or None) of an inline `< ... | ... >`
+    form, a file path, or a catalog key: a path that exists is read as a
+    file, and else a `family:key` source is looked up, its errors its own."""
     if source.lstrip().startswith("<"):
         return parse_presentation(source), None
-    if ":" in source and not source.endswith(".txt"):
-        try:
-            entry = catalog_lookup(source)
-            return entry.presentation, entry
-        except ParseError:
-            pass
+    if ":" in source and not os.path.exists(source):
+        entry = catalog_lookup(source)
+        return entry.presentation, entry
     with open(source, encoding="utf-8") as fh:
-        pres, _ = parse_presentation_file(fh.read())
-    return pres, None
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source} is not UTF-8: {exc}") from exc
+    return parse_presentation_file(text)[0], None

@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from itertools import chain, cycle, repeat
 
 from .ideals import ideal_from, ideal_normalize, principal_ideal, render_ideal
@@ -80,21 +80,30 @@ def _fox_rows(pres, alpha, rho):
     x_g^m for m = 0..|e|-1 if e < 0.  When every variable x_g moves has
     finite order, the pair (exponents mod the orders, rho(x_g^m)) has a
     period in m, so the walk adds at most one period of terms, each times
-    the number of the |e| terms it stands for.
+    the number of the |e| terms it stands for.  A dense element holds the
+    whole spread of a variable's folded exponents, so a relator whose terms
+    spread a variable of order 0 or above DEGREE_CAP past DEGREE_CAP is
+    refused at the letter reaching it, before that letter's terms are added.
     """
     orders = [k for _, k in alpha.variables]
+    wide = [(i, k) for i, k in enumerate(orders) if not 0 < k <= DEGREE_CAP]
     group, gens = rho.indexed()
     for rel in pres.relators:
-        _check_walk_degree(rel, alpha, orders)
         # blocks[column][a][b]: {exponent vector: coefficient}
         blocks = [[[{} for _ in range(rho.n)] for _ in range(rho.n)] for _ in range(pres.s)]
-        vec, x = (0,) * len(orders), group.identity
+        vec, x, spread = (0,) * len(orders), group.identity, [(inf, -inf)] * len(wide)
         for g, e in rel.letters:
             step, h, cells = alpha.images[g], gens[g], blocks[g]
             sign, count = (1, e) if e > 0 else (-1, -e)
             after = tuple(v + e * d for v, d in zip(vec, step)), group.mul(x, group.power(h, e))
             if e < 0:  # the terms start from the prefix times x_g^e
                 vec, x = after
+            for j, (i, k) in enumerate(wide):  # spread[j]: (lo, hi) of the terms so far
+                first, last = vec[i], vec[i] + (count - 1) * step[i]
+                lo, hi = spread[j]
+                if not lo <= first <= hi or not lo <= last <= hi:
+                    lo, hi = spread[j] = min(lo, first, last), max(hi, first, last)
+                    check_degree(hi - lo if not k or lo // k == hi // k else k - 1)
             period = _period(step, orders, group.order(h)) if count > 1 else 0
             steps = min(count, period or count)
             # term j: w t^(vec + j step) rho(x h^j), w the count of terms it stands for
@@ -125,23 +134,6 @@ def _period(step, orders, group_order):
         if d:
             period = lcm(period, k // gcd(d, k))
     return period
-
-
-def _check_walk_degree(rel, alpha, orders):
-    """Refuse, before any term is added, a relator whose Fox terms spread a
-    variable's exponents over more than DEGREE_CAP after folding mod its
-    order: a dense ring element holds the whole spread."""
-    for i, k in enumerate(orders):
-        if 0 < k <= DEGREE_CAP:
-            continue  # folded exponents lie in [0, k)
-        pos, ends = 0, []
-        for g, e in rel.letters:
-            d = alpha.images[g][i]
-            first = pos + min(e, 0) * d  # the letter's terms run from here
-            ends += [first, first + (abs(e) - 1) * d]
-            pos += e * d
-        lo, hi = min(ends, default=0), max(ends, default=0)
-        check_degree(hi - lo if not k or lo // k == hi // k else k - 1)
 
 
 def minors_ideal(m, d):

@@ -295,6 +295,8 @@ class _DenseElement(RingElement):
 
     def __mul__(self, other):
         self._check(other)
+        n, k = len(self.coeffs) + len(other.coeffs) - 2, self.spec.variables[0][1]
+        check_degree(min(n, k - 1) if k else n)  # refused before the product is convolved
         return RingElement(self.spec, run_addmul((0, ()), self.run, other.run))
 
     def is_zero(self):

@@ -18,7 +18,8 @@ from foxcalc.catalog import (
     theta_wirtinger_presentation,
 )
 from foxcalc.cli import main
-from foxcalc.presentations import ParseError, parse_word
+from foxcalc.maps import cyclic_map
+from foxcalc.presentations import ParseError, Presentation, Word, parse_word
 
 
 def test_theta_presentation_structure():
@@ -41,13 +42,46 @@ def test_theta_wirtinger_structure():
     assert pres.relators[2 * n] == parse_word("z4 z1 z2 z3", gens)
 
 
+def _index_wirtinger_reference(n):
+    """The Wirtinger presentation of the theta-n group by index arithmetic:
+    x_i, y_i, z_i are generators i - 1, n + i - 1 and 2n + i - 1."""
+    names = tuple(f"{c}{i}" for c in "xyz" for i in range(1, n + 1))
+
+    def x(i):
+        return (i - 1) % n
+
+    def y(i):
+        return n + (i - 1) % n
+
+    def z(i):
+        return 2 * n + (i - 1) % n
+
+    relators = []
+    for i in range(1, n + 1):
+        prev = n if i == 1 else i - 1
+        relators.append(Word(((x(i), 1), (x(prev), 1), (y(i), -1), (x(prev), -1))))
+    for i in range(1, n + 1):
+        prev = n if i == 1 else i - 1
+        relators.append(Word(((z(prev), 1), (x(i), 1), (x(prev), -1), (x(i), -1))))
+    relators.append(Word(tuple((z(i), 1) for i in [n] + list(range(1, n)))))
+    return Presentation(names, tuple(relators))
+
+
+def test_theta_wirtinger_matches_index_reference():
+    for n in range(3, 31):
+        assert theta_wirtinger_presentation(n) == _index_wirtinger_reference(n), n
+    for n in (2, 0, -1):
+        with pytest.raises(ParseError):
+            theta_wirtinger_presentation(n)
+
+
 def test_catalog_has_23_surface_links():
     assert len(YOSHIKAWA_KEYS) == 23
     for key in YOSHIKAWA_KEYS:
         entry = catalog_lookup(f"yoshikawa:{key}")
         assert entry.presentation.s >= 1
-        # default alpha (all generators to t, order 2) validated on build
-        assert entry.default_alpha is not None
+        # the tables' alpha (all generators to t, order 2) is valid on each
+        assert cyclic_map(entry.presentation, (1,) * entry.presentation.s, 2) is not None
 
 
 def test_corrected_group_differs_from_its_partner():
@@ -85,6 +119,35 @@ def test_presentation_file_errors():
         parse_presentation_file("gens x\nbogus y\n")
     with pytest.raises(ParseError):
         parse_presentation_file("gens x\ngens y\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table3", "yoshikawa:99"], "unknown surface-link id '99'"),
+        (["table3", "theta:2"], "index must be >= 3"),
+        (["reps", "theta:x"], "bad index 'x'"),
+        (["reps", "knot:3_1"], "unknown catalog key 'knot:3_1'"),
+    ],
+)
+def test_cli_bad_catalog_key_reports_its_own_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_existing_file_wins_over_a_catalog_key(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta:3").write_text("gens a\nrel a^2\n")
+    pres, entry = load_presentation("theta:3")
+    assert pres.render() == "< a | a^2 >" and entry is None
+
+
+def test_cli_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["reps", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8") and err.count("\n") == 1, err
 
 
 def test_load_presentation_inline():
@@ -314,11 +377,34 @@ def test_cli_canonicalization_budget_exit_1(capsys, monkeypatch):
             ["ideal", "< x, y | x^100000000 y^-100000000 >", "--alpha", "x=t,y=t@t^inf"],
             "polynomial degree 99999999 over DEGREE_CAP = 1000000",
         ),
+        (
+            # the terms spread over [0, 599999] after two letters, and the
+            # third takes them to 1099998: refused before its terms are added
+            ["ideal", "< x, y | x^600000 y^-1 x^500000 y^-1099999 >", "--alpha", "x=t,y=t@t^inf"],
+            "polynomial degree 1099998 over DEGREE_CAP = 1000000",
+        ),
     ],
 )
 def test_cli_budget_message_names_the_cap(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_walk_just_under_degree_cap(capsys):
+    # the terms of x^600000 y^600000 under y -> t^-1 span [-1, 599999]
+    argv = ["ideal", "< x, y | x^600000 y^600000 >", "--alpha", "x=t,y=t^-1@t^inf"]
+    assert main(argv) == 0
+    want = "+".join(["1", "t"] + [f"t^{i}" for i in range(2, 600000)])
+    assert capsys.readouterr().out == f"E_1 = ({want})\n"
+
+
+def test_cli_product_over_degree_cap_refused_before_it_is_formed(capsys):
+    # the 2 x 2 determinant multiplies two runs of 700,000 terms each
+    argv = ["ideal", "< x, y | x^700000 y^-700000, x^700000 y^-700000 >"]
+    start = time.perf_counter()
+    assert main(argv + ["--alpha", "x=t,y=t@t^inf", "--d", "0"]) == 1
+    assert time.perf_counter() - start < 15
+    assert capsys.readouterr().err == "error: polynomial degree 1399998 over DEGREE_CAP = 1000000\n"
 
 
 def test_cli_groebner_work_cap(monkeypatch, capsys):

@@ -227,6 +227,17 @@ def test_dense_element_span_over_degree_cap_refused():
         RingElement(big, {(-1,): 1, (0,): 1})
 
 
+def test_dense_product_over_degree_cap_refused_before_convolving():
+    # a convolution of 600,001 by 600,001 terms would take hours
+    a = RingElement(ZT, (0, (1,) * 600001))
+    with pytest.raises(RingError, match="polynomial degree 1200000 over DEGREE_CAP = 1000000"):
+        a * a
+    # at an order k <= DEGREE_CAP the product folds into [0, k) and is kept
+    spec = ring_make(0, (("t", 10**6),))
+    b = RingElement(spec, {(0,): 1, (600000,): 1})
+    assert (b * b).sorted_terms() == [((0,), 1), ((200000,), 1), ((600000,), 2)]
+
+
 def test_unit_monomial_inverse():
     u = ZT.monomial((-4,), -1)
     assert u.is_unit_monomial()
