@@ -91,15 +91,18 @@ def zp_reduce(f, basis, work=None):
     at their degrees, so a coefficient already in [0, m) costs one test.  A
     constant tried first acts on each coefficient alone, so it reduces them
     all in one pass.  Works in place on one list, f's coefficients from
-    degree 0.  work: None, or a one-item list holding what is left of a
-    budget, which each subtraction charges by the degree + 1 of the basis
-    element it subtracts.
+    degree 0.  A subtraction reads only the nonzero coefficients of the
+    basis element, listed at its first subtraction.  work: None, or a
+    one-item list holding what is left of a budget, which each subtraction
+    charges by the degree + 1 of the basis element it subtracts.
     """
     cs = [0] * f[0] + list(f[1])
     if basis and basis[0][0] + len(basis[0][1]) == 1:  # a constant first
         m = abs(basis[0][1][0])
         cs = [c % m for c in cs]
-    elems = [(v + len(gs) - 1, v, gs, abs(gs[-1])) for v, gs in basis]
+    # (degree, valuation, coefficients, |lc|, None until its first subtraction
+    # lists its nonzero (exponent - degree, coefficient) pairs, () if all are)
+    elems = [[v + len(gs) - 1, v, gs, abs(gs[-1]), None] for v, gs in basis]
     top = len(cs) - 1
     for low in sorted({e[0] for e in elems if e[0] <= top}, reverse=True):
         reach = [e for e in elems if e[0] <= low]
@@ -107,12 +110,16 @@ def zp_reduce(f, basis, work=None):
         for d in range(top, low - 1, -1):
             c = cs[d]
             while not 0 <= c < m:
-                for dg, v, gs, l in reach:  # stops: the element with |lc| = m leaves c out
-                    if not 0 <= c < l:
+                for e in reach:  # stops: the element with |lc| = m leaves c out
+                    if not 0 <= c < e[3]:
                         break
+                dg, v, gs, l, pairs = e
                 q = (c - c % l) // gs[-1]
-                for i, x in enumerate(gs, d - dg + v):  # cs -= q t^(d - deg g) g
-                    cs[i] -= q * x
+                if pairs is None:
+                    pairs = [(i - dg, x) for i, x in enumerate(gs, v) if x] if 0 in gs else ()
+                    e[4] = pairs
+                for i, x in pairs or enumerate(gs, v - dg):  # cs -= q t^(d - deg g) g
+                    cs[d + i] -= q * x
                 c = cs[d]
                 if work is not None:
                     work[0] -= dg + 1

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, inf, lcm
-from itertools import chain, cycle, repeat
 
 from .ideals import ideal_from, ideal_normalize, principal_ideal, render_ideal
 from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes, twins
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
-from .rings import DEGREE_CAP, cell_run, check_degree, content_gcd, normalize_sign
+from .rings import DEGREE_CAP, _trimmed, check_degree, content_gcd, normalize_sign
 from .smith import by_shape, zp_divisors, zp_elementary, zp_lift
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
@@ -66,74 +68,156 @@ def twisted_matrix(pres, alpha, rho):
 
 def _fox_matrix(pres, alpha, rho, modulus):
     spec = ring_make(modulus, alpha.variables)
-    rows = (tuple(RingElement(spec, cell) for cell in row) for row in _fox_rows(pres, alpha, rho))
+    walk = _fox_rows(_skeleton(pres, alpha), rho, 0)  # the constructor reduces mod modulus
+    rows = (tuple(RingElement(spec, cell) for cell in row) for row in walk)
     return RingMatrix(spec, tuple(rows), rho.n * pres.t, rho.n * pres.s)
 
 
-def _fox_rows(pres, alpha, rho):
-    """The rows of the (rho tensor alpha)-image of the Fox Jacobian of the
-    relators, n per relator, as lists of cells {exponent vector: coefficient}.
+def _skeleton(pres, alpha):
+    """What the Fox walk does not take from rho: per relator, (letters,
+    dones).  x_g^e adds |e| terms to column g, prefix x_g^m for m < e if
+    e > 0, -(prefix x_g^e) x_g^m for m < -e if e < 0, at exponents start +
+    m step; its letter is (g, e, sign, count, start, step, new, places):
+    new() an empty cell, places(start, step, j, o, n) the (key,
+    multiplicity) pairs of terms j + i o, i < n.  dones[g] makes a cell of
+    column g (None: no term) what the walk yields.
 
-    One walk per relator carries the prefix's exponent vector and its index
-    in rho's target group.  A letter x_g^e adds the |e| terms of its Fox
-    derivative: prefix x_g^m for m = 0..e-1 if e > 0, and -(prefix x_g^e)
-    x_g^m for m = 0..|e|-1 if e < 0.  When every variable x_g moves has
-    finite order, the pair (exponents mod the orders, rho(x_g^m)) has a
-    period in m, so the walk adds at most one period of terms, each times
-    the number of the |e| terms it stands for.  A dense element holds the
-    whole spread of a variable's folded exponents, so a relator whose terms
+    In several variables a cell maps exponent vectors to coefficients.  In
+    one it is a list by offset from its column's least exponent, yielded as
+    a run mod p, a lift of the entry: a column spanning the order k or
+    more, or k/2 across a multiple of k, folds mod k, as zp_lift keeps such
+    a run; a shorter one is shifted by a multiple of k into [0, k), or to
+    just below 0 across a multiple of k, where zp_lift cuts it.  A dense
+    element holds a variable's whole spread, so a relator whose terms
     spread a variable of order 0 or above DEGREE_CAP past DEGREE_CAP is
-    refused at the letter reaching it, before that letter's terms are added.
-    """
+    refused at the letter reaching it, before the walk adds a term."""
     orders = [k for _, k in alpha.variables]
-    wide = [(i, k) for i, k in enumerate(orders) if not 0 < k <= DEGREE_CAP]
-    group, gens = rho.indexed()
+    steps = [[d[i] for d in alpha.images] for i in range(len(orders))]  # by variable
+    out = []
     for rel in pres.relators:
-        # blocks[column][a][b]: {exponent vector: coefficient}
-        blocks = [[[{} for _ in range(rho.n)] for _ in range(rho.n)] for _ in range(pres.s)]
-        vec, x, spread = (0,) * len(orders), group.identity, [(inf, -inf)] * len(wide)
-        for g, e in rel.letters:
-            step, h, cells = alpha.images[g], gens[g], blocks[g]
-            sign, count = (1, e) if e > 0 else (-1, -e)
-            after = tuple(v + e * d for v, d in zip(vec, step)), group.mul(x, group.power(h, e))
-            if e < 0:  # the terms start from the prefix times x_g^e
-                vec, x = after
-            for j, (i, k) in enumerate(wide):  # spread[j]: (lo, hi) of the terms so far
-                first, last = vec[i], vec[i] + (count - 1) * step[i]
-                lo, hi = spread[j]
-                if not lo <= first <= hi or not lo <= last <= hi:
-                    lo, hi = spread[j] = min(lo, first, last), max(hi, first, last)
-                    check_degree(hi - lo if not k or lo // k == hi // k else k - 1)
-            period = _period(step, orders, group.order(h)) if count > 1 else 0
-            steps = min(count, period or count)
-            # term j: w t^(vec + j step) rho(x h^j), w the count of terms it stands for
-            if steps == 1:
-                terms = ((vec, sign * count, x),)
-            else:
-                q, r = divmod(count, steps)
-                ys = [group.mul(x, group.power(h, j)) for j in range(min(steps, group.order(h)))]
-                ws = chain(repeat(sign * (q + 1), r), repeat(sign * q, steps - r))
-                runs = [range(v, v + d * steps, d) if d else repeat(v) for v, d in zip(vec, step)]
-                terms = zip(zip(*runs) if runs else repeat(()), ws, cycle(ys))  # as many as ws
-            for exps, w, y in terms:
-                for a, b, c in group.nonzero[y]:
-                    cell = cells[a][b]
-                    cell[exps] = cell.get(exps, 0) + w * c
-            vec, x = after
-        for a in range(rho.n):
-            yield [cell for block in blocks for cell in block[a]]
+        firsts, refusals = [], []  # by variable, each letter's first exponent
+        for d, k in zip(steps, orders):
+            v, lo, hi, vs = 0, inf, -inf, []
+            for i, (g, e) in enumerate(rel.letters):
+                if e < 0:  # the terms start from prefix x_g^e
+                    v += e * d[g]
+                last = v + (e - 1 if e > 0 else -e - 1) * d[g]
+                if not (0 < k <= DEGREE_CAP or lo <= v <= hi and lo <= last <= hi):
+                    lo, hi = min(lo, v, last), max(hi, v, last)
+                    degree = hi - lo if not k or lo // k == hi // k else k - 1
+                    if degree > DEGREE_CAP:
+                        refusals.append((i, degree))
+                        break
+                vs.append(v)
+                if e > 0:
+                    v += e * d[g]
+            firsts.append(vs)
+        if refusals:  # the first letter refused, in the first variable refusing it
+            check_degree(min(refusals, key=operator.itemgetter(0))[1])
+        signs = [(1, e) if e > 0 else (-1, -e) for _, e in rel.letters]
+        if len(orders) != 1:
+            kind = functools.partial(defaultdict, int), functools.partial(_vectors, orders)
+            vecs = zip(*firsts) if orders else repeat(())
+            letters = [(g, e, s, n, v, alpha.images[g], *kind)
+                       for (g, e), (s, n), v in zip(rel.letters, signs, vecs)]
+            out.append((letters, [lambda c, p: c or {}] * pres.s))
+            continue
+        (k,), (d,), ends, columns = orders, steps, defaultdict(list), [(0,)] * pres.s
+        for (g, _), (_, count), v in zip(rel.letters, signs, firsts[0]):
+            ends[g] += v, v + (count - 1) * d[g]
+        for g, vs in ends.items():  # (valuation, least exponent, fold, new, places)
+            lo, hi = min(vs), max(vs)
+            fold = k if k and (hi - lo >= k or lo // k != hi // k and 2 * (hi - lo) >= k) else 0
+            new = functools.partial(operator.mul, [0], fold or hi - lo + 1)
+            base = 0 if fold else lo - k * (hi // k) if k else lo
+            columns[g] = base, lo, fold, new, functools.partial(_offsets, fold)
+        letters = []
+        for (g, e), (s, n), v in zip(rel.letters, signs, firsts[0]):
+            _, lo, fold, new, places = columns[g]
+            letters.append((g, e, s, n, v % fold if fold else v - lo, d[g], new, places))
+        dones = [lambda c, p, b=b: _trimmed(b, c, p) if c else (0, ()) for b, *_ in columns]
+        out.append((letters, dones))
+    return out
 
 
-def _period(step, orders, group_order):
-    """A period in m of (the exponents of t^(m * step) mod the orders, x^m),
-    x of the given order; 0 if an infinite-order exponent moves."""
-    period = group_order
-    for d, k in zip(step, orders):
-        if d and not k:
-            return 0
-        if d:
-            period = lcm(period, k // gcd(d, k))
-    return period
+def _fox_rows(skeleton, rho, p):
+    """The rows of the (rho tensor alpha)-image of the Fox Jacobian of the
+    relators, n per relator, as the skeleton's dones make their cells, a
+    run trimmed mod p (p = 0: its ends only).  With x the prefix and
+    h = rho(x_g), term j of x_g^e is rho(x h^j) t^its exponent: the terms
+    of a class of j mod the order o of h share a matrix, added into the
+    cells of its nonzero entries."""
+    group, gens = rho.indexed()
+    n, mul, power, nonzero = rho.n, group.mul, group.power, group.nonzero
+    for letters, dones in skeleton:
+        rows = [[None] * (n * len(gens)) for _ in range(n)]
+        x = group.identity
+        for g, e, sign, count, start, step, new, places in letters:
+            h, col = gens[g], g * n
+            after = mul(x, h if e == 1 else power(h, e))
+            if e < 0:
+                x = after
+            if count == 1:
+                for a, b, c in nonzero[x]:
+                    row = rows[a]
+                    cell = row[col + b]
+                    if cell is None:
+                        cell = row[col + b] = new()
+                    cell[start] += sign * c
+                x = after
+                continue
+            o = group.order(h)
+            for j in range(min(o, count)):
+                y = nonzero[mul(x, power(h, j))]
+                for key, m in places(start, step, j, o, (count - 1 - j) // o + 1):
+                    for a, b, c in y:
+                        row, w = rows[a], sign * m * c
+                        cell = row[col + b]
+                        if cell is None:
+                            cell = row[col + b] = new()
+                        if key.__class__ is slice:  # a fresh slice gets one shared int
+                            part = cell[key]
+                            cell[key] = map(w.__add__, part) if any(part) else [w] * len(part)
+                        else:
+                            cell[key] += w
+            x = after
+        dones = [done for done in dones for _ in range(n)]
+        for row in rows:
+            yield [done(cell, p) for done, cell in zip(dones, row)]
+
+
+def _offsets(k, s, d, j, o, n):
+    """(slice, multiplicity) pairs adding 1 at the offsets s + (j + i o) d,
+    i < n, mod k if k > 0.  Mod k they repeat every k / gcd(o d, k): whole
+    periods fill a coset of gcd(o d, k), and the rest, as in an unfolded
+    cell, are runs of stride o d (from -k/2 to k/2) that do not wrap past
+    an end: at most two at o d = +-1."""
+    s, d, out = s + j * d, o * d, []
+    if k:
+        g = gcd(d, k)
+        q, n = divmod(n, k // g)
+        out = [(slice(s % g, k, g), q)] if q else []
+        s, d = s % k, (d + k // 2) % k - k // 2
+    while n:  # at d = 0 unfolded, one offset n times
+        m = n if not k else min(n, (k - 1 - s) // d + 1 if d > 0 else s // -d + 1)
+        lo = min(s, s + (m - 1) * d)
+        out.append((slice(lo, lo + (m - 1) * abs(d) + 1, abs(d) or 1), 1 if d else m))
+        s, n = (s + m * d) % (k or 1), n - m
+    return out
+
+
+def _vectors(orders, vec, step, j, o, n):
+    """(exponent vector, multiplicity) pairs for the terms vec + (j + i o)
+    step, i < n: each term while a variable of order 0 moves, else one
+    period of (exponents mod the orders, rho(x_g)^(j + i o)), each standing
+    for the terms it repeats."""
+    period = lcm(o, *(k // gcd(d, k) for d, k in zip(step, orders) if d)) // o
+    q, r = divmod(n, period) if period else (0, n)
+    first, stride = [v + j * d for v, d in zip(vec, step)], [o * d for d in step]
+    return [
+        (tuple(v + i * d for v, d in zip(first, stride)), q + (i < r))
+        for i in range(period if q else r)
+    ]
 
 
 def minors_ideal(m, d):
@@ -168,16 +252,19 @@ def _table(spec):
     """(entries, render), one variable over Z_p.  entries(pres, alpha, rho,
     ds): the E_d of a twisted matrix over spec, lazily, as zp_elementary
     generators, by zp_elementary on the least-span lifts of the Fox walk's
-    cells.  render(row): a row of generators as table entries, each
-    distinct row and generator rendered once per _table."""
+    cells, on a skeleton built once per alpha, when an E_d first needs the
+    walk.  render(row): a row of generators as table entries, each distinct
+    row and generator rendered once per _table."""
     entry = functools.cache(lambda g: render_ideal(principal_ideal(spec, g))[1:-1])
     render = functools.cache(lambda row: tuple(map(entry, row)))
-    k = spec.variables[0][1]
+    (_, k), p = spec.variables[0], spec.modulus
+    skeleton = functools.cache(_skeleton)
 
     def entries(pres, alpha, rho, ds):
-        walk = _fox_rows(pres, alpha, rho)
-        rows = ([zp_lift(cell_run(spec, cell), k) for cell in row] for row in walk)
-        divisors = functools.partial(zp_divisors, rows, spec.modulus)
+        def divisors():
+            walk = _fox_rows(skeleton(pres, alpha), rho, p)
+            return zp_divisors(([zp_lift(run, k) for run in row] for row in walk), p)
+
         return zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds)
 
     return entries, render

@@ -265,7 +265,15 @@ class _DenseElement(RingElement):
     def __init__(self, spec, terms):
         self.spec = spec
         k, p = spec.variables[0][1], spec.modulus
-        val, cs = cell_run(spec, terms) if isinstance(terms, dict) else _trimmed(*terms, p)
+        if isinstance(terms, dict):  # {(e,): c}, its exponents folded, as a run
+            exps = [e % k if k else e for (e,) in terms]
+            lo, hi = min(exps, default=0), max(exps, default=-1)
+            check_degree(hi - lo)
+            cs = [0] * (hi - lo + 1)
+            for e, c in zip(exps, terms.values()):
+                cs[e - lo] += c
+            terms = lo, cs
+        val, cs = _trimmed(*terms, p)
         if k and cs and (val < 0 or val + len(cs) > k):
             q = val // k
             if (val + len(cs) - 1) // k == q:  # within one period: a shift
@@ -350,30 +358,12 @@ def check_degree(d):
         raise RingError(f"polynomial degree {d} over DEGREE_CAP = {DEGREE_CAP}")
 
 
-def cell_run(spec, terms):
-    """The run of RingElement(spec, terms), one variable, not building it:
-    its exponents folded mod the order k when k > 0, then trimmed."""
-    (_, k), p = spec.variables[0], spec.modulus
-    if not terms:
-        return 0, ()
-    if len(terms) == 1:
-        (((e,), c),) = terms.items()
-        return _trimmed(e % k if k else e, (c,), p)
-    exps = [e % k for (e,) in terms] if k else [e for (e,) in terms]
-    lo, hi = min(exps), max(exps)
-    check_degree(hi - lo)
-    cs = [0] * (hi - lo + 1)
-    for e, c in zip(exps, terms.values()):
-        cs[e - lo] += c
-    return _trimmed(lo, cs, p)
-
-
 def _trimmed(val, cs, p):
     """The run with coefficients reduced mod p (p > 0) and zero ends cut."""
-    if not cs:
-        return 0, ()
     if p:
         cs = [c % p for c in cs]
+    if cs and cs[0] and cs[-1]:
+        return val, tuple(cs)
     hi = len(cs)
     while hi and not cs[hi - 1]:
         hi -= 1

@@ -306,6 +306,16 @@ def test_cli_one_variable_zp_at_large_orders(capsys, argv, limit, want):
         assert rc == 1 and err.startswith("error: ") and want in err, err
 
 
+def test_cli_long_letters_at_a_large_order(capsys):
+    # each letter's 2^31 - 1 terms fill the 10^6 slots of its cell in a few
+    # slices: 2,147 whole periods and one run of the 483,647 terms left
+    start = time.perf_counter()
+    argv = ["ideal", "< x, y | x^2147483647 y^-2147483647 >", "--alpha", "x=t,y=t@t^1000000"]
+    assert main(argv + ["--p", "2"]) == 0
+    assert time.perf_counter() - start < 20
+    assert capsys.readouterr().out == "E_1 = (1)\n"
+
+
 def test_cli_table3_row_render_keeps_parentheses(capsys):
     # E_2 of one class is (1+t+t^2+t^3,1+2t+t^2+2t^3), one entry, not two
     assert main(["table3", "yoshikawa:6_1^0,1", "--p", "3", "--k", "4"]) == 0

@@ -306,6 +306,61 @@ def test_zp_reduce_matches_scan_reference(f, gens, constant):
         assert reduce_tuples(f, basis) == zp_reduce_scan_reference(f, basis)
 
 
+def zp_reduce_dense_reference(f, basis, work=None):
+    """zp_reduce as it was before a subtraction read only the nonzero
+    coefficients of the basis element: it subtracts every one, zeros too."""
+    cs = [0] * f[0] + list(f[1])
+    if basis and basis[0][0] + len(basis[0][1]) == 1:
+        m = abs(basis[0][1][0])
+        cs = [c % m for c in cs]
+    elems = [(v + len(gs) - 1, v, gs, abs(gs[-1])) for v, gs in basis]
+    top = len(cs) - 1
+    for low in sorted({e[0] for e in elems if e[0] <= top}, reverse=True):
+        reach = [e for e in elems if e[0] <= low]
+        m = min(e[3] for e in reach)
+        for d in range(top, low - 1, -1):
+            c = cs[d]
+            while not 0 <= c < m:
+                for dg, v, gs, l in reach:
+                    if not 0 <= c < l:
+                        break
+                q = (c - c % l) // gs[-1]
+                for i, x in enumerate(gs, d - dg + v):
+                    cs[i] -= q * x
+                c = cs[d]
+                if work is not None:
+                    work[0] -= dg + 1
+                    if work[0] < 0:
+                        raise RingError("over GROEBNER_WORK_CAP")
+        top = low - 1
+    return _trimmed(0, cs, 0)
+
+
+sparse_zpolys = (
+    st.lists(st.just(0) | st.integers(-20, 20), min_size=1, max_size=12).map(_trim).filter(bool)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), max_size=24),
+    st.lists(sparse_zpolys, min_size=1, max_size=4),
+    st.none() | st.integers(0, 300),
+    st.booleans(),
+)
+def test_sparse_zp_reduce_matches_dense_reference(f, gens, budget, strong):
+    # the same remainder, or the same refusal, with the same work left
+    basis = [_run(g) for g in (groebner_tuples(gens) if strong else gens)]
+    results = []
+    for reduce in (zp_reduce, zp_reduce_dense_reference):
+        work = None if budget is None else [budget]
+        try:
+            results.append((reduce(_run(f), basis, work), work))
+        except RingError:
+            results.append(("refused", work))
+    assert results[0] == results[1]
+
+
 def test_strong_groebner_matches_reference_on_theta_ideals():
     for n in range(3, 13):
         pres = theta_presentation(n)

@@ -23,6 +23,7 @@ from foxcalc.invariants import (
     TableKind,
     _fox_rows,
     _merge_rows,
+    _skeleton,
     _table,
     alexander_matrix,
     alexander_polynomial,
@@ -45,7 +46,7 @@ from foxcalc.maps import (
     twins,
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
-from foxcalc.rings import RingElement, RingMatrix, cell_run, reduce_matrix, ring_make
+from foxcalc.rings import RingElement, RingMatrix, reduce_matrix, ring_make
 from foxcalc.smith import by_shape, zp_divisors, zp_elementary
 
 ZT = ring_make(0, (("t", 0),))
@@ -495,12 +496,19 @@ def fox_reference(pres, alpha, rho, modulus):
 
 @st.composite
 def fox_cases(draw):
-    """Maps defined on the free group, so any words may serve as relators."""
+    """Maps defined on the free group, so any words may serve as relators:
+    one or two variables of order 0, 2, 3 or 5 with steps -3..3, or one of
+    order 1, 7 or 1,000 with steps up to +-1,000, steps 0 and -1 drawn often,
+    whose columns span a multiple of the order, or the order or more."""
     s = draw(st.integers(1, 2))
     names = ("x", "y")[:s]
-    orders = draw(st.lists(st.sampled_from([0, 2, 3, 5]), min_size=1, max_size=2))
-    variables = tuple(zip(("t", "u"), orders))
-    exps = st.tuples(*[st.integers(-3, 3)] * len(variables))
+    if draw(st.booleans()):
+        variables = (("t", draw(st.sampled_from([1, 7, 1000]))),)
+        exps = st.tuples(st.sampled_from([0, -1]) | st.integers(-1000, 1000))
+    else:
+        orders = draw(st.lists(st.sampled_from([0, 2, 3, 5]), min_size=1, max_size=2))
+        variables = tuple(zip(("t", "u"), orders))
+        exps = st.tuples(*[st.integers(-3, 3)] * len(variables))
     alpha = abelian_map(
         Presentation(names, ()),
         draw(st.lists(exps, min_size=s, max_size=s)),
@@ -517,6 +525,38 @@ def fox_cases(draw):
     images = draw(st.lists(st.sampled_from(elements), min_size=s, max_size=s))
     rho = MatrixRep(Presentation(names, ()), p, 2, tuple(images), special)
     return pres, alpha, rho, p
+
+
+@pytest.mark.parametrize(
+    "word, steps, k",
+    [
+        ([(0, -1), (1, 1), (0, 1), (1, -1)], (1, 1), 1000),  # columns across 0, a multiple of k
+        ([(0, 1500), (1, -1500)], (1, 1), 1000),  # a period and 500 terms of each letter
+        ([(0, 999), (1, -2), (0, -999), (1, 2)], (-1, 0), 1000),  # steps -1 and 0
+        ([(0, 2147483647), (1, -2147483647)], (1, 1), 7),  # 2^31 - 1 terms in 7 slots
+        ([(0, 1001), (1, 3)], (-3, 500), 1000),  # stride 3 mod 1000, not a rotation
+    ],
+)
+def test_fox_matrix_long_letters_fold_as_the_reference(word, steps, k):
+    # the walk folds a column's terms mod k only where they span k or more,
+    # adding each residue class of a long letter by slices
+    free = Presentation(("x", "y"), ())
+    alpha = abelian_map(free, [(d,) for d in steps], (("t", k),))
+    pres = Presentation(("x", "y"), (Word(tuple(word)),))
+    rho = MatrixRep(free, 3, 2, (((1, 1), (0, 1)), ((0, 1), (2, 0))))
+    count = sum(abs(e) for _, e in word)
+    if count < 10**4:  # fox_derive lists every term
+        assert [list(r) for r in alexander_matrix(pres, alpha, 3).entries] == fox_reference(
+            pres, alpha, None, 3
+        )
+        assert [list(r) for r in twisted_matrix(pres, alpha, rho).entries] == fox_reference(
+            pres, alpha, rho, 3
+        )
+    else:  # x^m y^-m: the row (1 + t + ... + t^(m-1), -(the same)), m mod k folded
+        q, r = divmod(count // 2, k)
+        spec = ring_make(3, (("t", k),))
+        run = RingElement(spec, (0, [q + (i < r) for i in range(k)]))
+        assert alexander_matrix(pres, alpha, 3).entries == ((run, -run),)
 
 
 @settings(max_examples=80, deadline=None)
@@ -552,7 +592,7 @@ def every_class_generators(pres, alpha, rho, ds):
     """The ring and the zp_elementary generators of E_d of the twisted matrix
     of one class, on the Fox walk of that very class, with no row lent."""
     spec = ring_make(rho.p, alpha.variables)
-    rows = [[cell_run(spec, cell) for cell in row] for row in _fox_rows(pres, alpha, rho)]
+    rows = list(_fox_rows(_skeleton(pres, alpha), rho, rho.p))
     divisors = lambda: zp_divisors(rows, rho.p)
     return spec, list(zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds))
 
