@@ -41,7 +41,7 @@ from .rings import _trimmed, normalize_sign, ring_make, run_addmul, term_key
 from .smith import zp_code_search, zp_divisors, zp_fold, zp_lift, zp_rem
 
 DISPLAY_SIZE_CAP = 2**12  # elements of a finite ideal whose generating set is searched
-GROEBNER_WORK_CAP = 3 * 10**7  # coefficients one strong_groebner's reductions touch
+GROEBNER_WORK_CAP = 3 * 10**7  # coefficient operations of one strong_groebner, pairs included
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
 
@@ -122,29 +122,41 @@ def zp_reduce(f, basis, work=None):
                     cs[d + i] -= q * x
                 c = cs[d]
                 if work is not None:
-                    work[0] -= dg + 1
-                    if work[0] < 0:
-                        raise RingError(
-                            f"Groebner basis over GROEBNER_WORK_CAP = {GROEBNER_WORK_CAP}"
-                            " coefficient operations"
-                        )
+                    _charge(work, dg + 1)
         top = low - 1
     return _trimmed(0, cs, 0)
 
 
-def _pair_polys(f, g):
+def _charge(work, n):
+    """Take n coefficient operations from the budget work, a one-item list."""
+    work[0] -= n
+    if work[0] < 0:
+        raise RingError(
+            f"Groebner basis over GROEBNER_WORK_CAP = {GROEBNER_WORK_CAP} coefficient operations"
+        )
+
+
+def _pair_polys(f, g, work):
     """The S-polynomial (lcm of leading coefficients) and the G-polynomial
     (Bezout combination reaching their gcd) of the runs f and g, untrimmed:
     s t^(d - deg f) f + q t^(d - deg g) g, d the larger degree, each by one
-    run_addmul."""
+    run_addmul, which reads both runs and is charged len f + len g to the
+    budget work before it is formed (see strong_groebner)."""
     (vf, fs), (vg, gs) = f, g
     df, dg, a, b = vf + len(fs) - 1, vg + len(gs) - 1, fs[-1], gs[-1]
     d, l = max(df, dg), a * b // gcd(a, b)
     _, u, w = _ext_gcd(a, b)
+    _charge(work, 2 * (len(fs) + len(gs)))
     return [
         run_addmul((vf + d - df, [s * x for x in fs]), (d - dg, (q,)), g)
         for s, q in ((l // a, -(l // b)), (u, w))
     ]
+
+
+def _positive(run):
+    """A trimmed run with its leading coefficient made positive."""
+    v, cs = run
+    return (v, tuple(-c for c in cs)) if cs and cs[-1] < 0 else run
 
 
 def strong_groebner(gens):
@@ -152,13 +164,16 @@ def strong_groebner(gens):
     runs, by increasing degree.
 
     Incremental: the queue is worked smallest leading term first, which
-    keeps coefficients small.  Each polynomial taken from it is fully
-    reduced by the current basis and dropped if it reduces to zero.  A
-    remainder r, whose leading term no basis element's divides, sends back
-    to the queue every basis element whose leading term r's divides, so the
-    basis stays minimal, and queues its S- and G-polynomials with each
-    element that stays.  Terminates because leading terms strictly improve.
-    Its reductions touch at most GROEBNER_WORK_CAP coefficients.
+    keeps coefficients small.  It starts with each distinct generator once,
+    up to sign.  Each polynomial taken from it is fully reduced by the
+    current basis and dropped if it reduces to zero.  A remainder r, whose
+    leading term no basis element's divides, sends back to the queue every
+    basis element whose leading term r's divides, so the basis stays
+    minimal, and queues its S- and G-polynomials with each element that
+    stays.  Terminates because leading terms strictly improve.  Its work,
+    the reductions' subtractions (see zp_reduce) and the S- and
+    G-polynomial of each pair r, g, by len(r) + len(g) each, is at most
+    GROEBNER_WORK_CAP coefficient operations.
     """
     basis, queue, work = [], [], [GROEBNER_WORK_CAP]
 
@@ -167,21 +182,20 @@ def strong_groebner(gens):
         if cs:
             heapq.heappush(queue, (v + len(cs) - 1, abs(cs[-1]), (v, cs)))
 
-    for g in gens:
+    for g in dict.fromkeys(_positive(_trimmed(*g, 0)) for g in gens):
         push(g)
     while queue:
-        v, cs = zp_reduce(heapq.heappop(queue)[2], basis, work)
-        if not cs:
+        r = _positive(zp_reduce(heapq.heappop(queue)[2], basis, work))
+        if not r[1]:
             continue
-        if cs[-1] < 0:
-            cs = tuple(-c for c in cs)
-        r, d, lc, stay = (v, cs), v + len(cs) - 1, cs[-1], []
+        (v, cs), stay = r, []
+        d, lc = v + len(cs) - 1, cs[-1]
         for g in basis:  # r's leading term divides g's: g goes back to the queue
             if d <= g[0] + len(g[1]) - 1 and g[1][-1] % lc == 0:
                 push(g)
             else:
                 stay.append(g)
-                for f in _pair_polys(r, g):
+                for f in _pair_polys(r, g, work):
                     push(f)
         basis = stay + [r]
     # fully interreduce for a canonical presentation; in a minimal strong

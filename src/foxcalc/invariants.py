@@ -12,7 +12,7 @@ from itertools import repeat
 from math import gcd, inf, lcm
 
 from .ideals import ideal_from, ideal_normalize, principal_ideal, render_ideal
-from .maps import MapError, MatrixRep, cyclic_map, enumerate_epis, hom_classes, twins
+from .maps import MapError, _indexed_group, _rep, cyclic_map, enumerate_epis, hom_classes, twins
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import DEGREE_CAP, _trimmed, check_degree, content_gcd, normalize_sign
 from .smith import by_shape, zp_divisors, zp_elementary, zp_lift
@@ -57,8 +57,10 @@ class InvariantTable:
 
 def alexander_matrix(pres, alpha, modulus=0):
     """The t x s matrix of abelianized Fox derivatives of the relators: the
-    twisted matrix of the trivial representation, into SL(1;Z_2) = {1}."""
-    return _fox_matrix(pres, alpha, MatrixRep(pres, 2, 1, (((1,),),) * pres.s), modulus)
+    twisted matrix of the trivial representation, into SL(1;Z_2) = {1},
+    whose one element kills every relator, so it is not checked."""
+    trivial = _rep(pres, _indexed_group(1, 2, True), 1, True, (0,) * pres.s)
+    return _fox_matrix(pres, alpha, trivial, modulus)
 
 
 def twisted_matrix(pres, alpha, rho):

@@ -421,7 +421,8 @@ def twins(rep, alpha=None):
 
 
 def _rep(pres, group, n, special, indices):
-    """A MatrixRep of images a search has checked, skipping its relator walk."""
+    """A MatrixRep of images known to kill every relator, checked by a search
+    or trivial, skipping its relator walk."""
     rep = object.__new__(MatrixRep)
     images = tuple(group.elements[x] for x in indices)
     fields = dict(presentation=pres, p=group.p, n=n, images=images, special=special)

@@ -445,8 +445,9 @@ def det(spec, rows):
 def minors(m, q):
     """All q x q minors drawn from the declared rows and columns.
 
-    Ordered lexicographically by (row subset, column subset).  Empty if q
-    exceeds either dimension.  More than MINOR_CAP of them raises RingError.
+    Ordered lexicographically by (row subset, column subset), so for q = 1
+    the entries row by row.  Empty if q exceeds either dimension.  More than
+    MINOR_CAP of them raises RingError.
     """
     if q < 1:
         raise RingError("minor size must be >= 1")
@@ -456,6 +457,8 @@ def minors(m, q):
     count = comb(t, q) * comb(s, q)
     if count > MINOR_CAP:
         raise RingError(f"{count} minors of size {q} over MINOR_CAP = {MINOR_CAP}")
+    if q == 1:
+        return [e for row in m.entries for e in row]
     out = []
     for rowsel in itertools.combinations(range(t), q):
         for colsel in itertools.combinations(range(s), q):

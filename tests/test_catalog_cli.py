@@ -431,6 +431,19 @@ def test_cli_groebner_work_cap(monkeypatch, capsys):
     assert err == "error: Groebner basis over GROEBNER_WORK_CAP = 1000000 coefficient operations\n"
 
 
+def test_cli_groebner_work_cap_charges_each_combination(capsys):
+    # at order 10^6 the S- and G-polynomials of runs near 10^6 terms long are
+    # charged as they are formed, so the budget stops the basis in seconds
+    argv = ["ideal", "< x, y, z | z^0 y^0 x^-3 y^100243535 x^-100243532 >",
+            "--alpha=x=t,y=t,z=t@t^1000000", "--p=0", "--all-d"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 20
+    out, err = capsys.readouterr()
+    assert out == "E_0 = (0)\nE_1 = (0)\n"
+    assert err == "error: Groebner basis over GROEBNER_WORK_CAP = 30000000 coefficient operations\n"
+
+
 def test_cli_ideal_groebner_render_omits_zero_generators(capsys):
     # over Z[t]/(t^2 - 1) the reduced Z[t] basis of E_1 is {2 + 2t, t^2 - 1}
     rc = main(["ideal", "< x, y | x^4 y^-4 >", "--alpha", "x=t,y=t@t^2"])

@@ -3,6 +3,7 @@
 import itertools
 import random
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,42 @@ def test_strong_groebner_matches_buchberger_reference(gens, k):
     if k:
         gens = gens + [(-1,) + (0,) * (k - 1) + (1,)]
     assert groebner_tuples(gens) == buchberger_reference(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        zpolys.filter(bool),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda g: g if _lc(g) > 0 else _neg(g),
+    ),
+    st.data(),
+)
+def test_strong_groebner_reduces_each_distinct_generator_once(gens, data):
+    # the generators repeated, negated and reordered give the basis of the
+    # generators once, which is the reference's, for no more work
+    extra = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.booleans()), max_size=8))
+    noisy = gens + [_neg(g) if negate else g for g, negate in extra]
+    noisy = data.draw(st.permutations(noisy))
+    original = ideals_module._charge
+
+    def metered(polys):
+        """strong_groebner of polys, and the work it charged."""
+        total = [0]
+
+        def charge(work, n):
+            total[0] += n
+            original(work, n)
+
+        with mock.patch.object(ideals_module, "_charge", charge):
+            return strong_groebner([_run(g) for g in polys]), total[0]
+
+    basis, once = metered(gens)
+    noisy_basis, many = metered(noisy)
+    assert noisy_basis == basis
+    assert tuple(map(_dense, basis)) == buchberger_reference(gens)
+    assert many <= once
 
 
 def zp_reduce_reference(f, basis):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foxcalc import maps
 from foxcalc.catalog import (
     YOSHIKAWA_KEYS,
     catalog_lookup,
@@ -21,6 +22,7 @@ from foxcalc.ideals import principal_ideal, render_ideal
 from foxcalc.invariants import (
     InvariantTable,
     TableKind,
+    _fox_matrix,
     _fox_rows,
     _merge_rows,
     _skeleton,
@@ -570,6 +572,30 @@ def test_fox_matrix_matches_fox_derive_reference(case):
     n = rho.n if rho else 1
     assert (m.declared_rows, m.declared_cols) == (n * pres.t, n * pres.s)
     assert [list(row) for row in m.entries] == fox_reference(pres, alpha, rho, modulus)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fox_cases())
+def test_alexander_matrix_matches_the_checked_trivial_rep(case):
+    # the trivial representation alexander_matrix walks with, unchecked, is
+    # the one MatrixRep builds and checks against every relator
+    pres, alpha, _, modulus = case
+    checked = MatrixRep(pres, 2, 1, (((1,),),) * pres.s)
+    want = _fox_matrix(pres, alpha, checked, modulus)
+    assert alexander_matrix(pres, alpha, modulus) == want
+
+
+def test_alexander_matrix_walks_no_relator_through_the_group(monkeypatch):
+    def word(self, letters, images):
+        raise AssertionError("_IndexedGroup.word called")
+
+    pres = theta_presentation(7)
+    alpha = theta_alpha(pres, 7)
+    want = alexander_matrix(pres, alpha)
+    monkeypatch.setattr(maps._IndexedGroup, "word", word)
+    assert alexander_matrix(pres, alpha) == want
+    with pytest.raises(AssertionError):  # as the checked MatrixRep would
+        MatrixRep(pres, 2, 1, (((1,),),) * pres.s)
 
 
 @st.composite

@@ -322,13 +322,18 @@ def test_det_cap_message_names_budget():
         det(ZT, rows)
 
 
-def test_minor_count():
+def test_minor_count(monkeypatch):
+    import foxcalc.rings as rings
+
     rng = random.Random(23)
     m = RingMatrix.build(
         ZT, [[rand_elem(rng, ZT, 1, 1) for _ in range(4)] for _ in range(3)]
     )
     assert len(list(minors(m, 2))) == 3 * 6  # C(3,2) * C(4,2)
     assert len(list(minors(m, 3))) == 1 * 4
+    want = [det(ZT, [(e,)]) for row in m.entries for e in row]
+    monkeypatch.setattr(rings, "det", None)  # the size-1 minors are the entries, row by row
+    assert minors(m, 1) == want
 
 
 def test_minor_cap_refuses_before_enumerating(monkeypatch):
