@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 computation error, 2 parse error, 3 verification
-mismatch.
+Exit codes: 0 success, 1 computation error, 2 parse error or bad input, 3
+verification mismatch.
 """
 
 from __future__ import annotations
@@ -164,17 +164,27 @@ def cmd_table3(args):
 
 
 def cmd_verify(args):
+    """An empty n range, or an n outside the target's hypotheses (n >= 3 for
+    theorem3.4 and remark3.4, n >= 5 with n = 1 or 5 mod 6 for theorem3.7
+    and lemma3.6), exits 2 before any check runs."""
     target = args.target
-    if target == "theorem3.4":
-        results = [(n, verify.check_theorem34(n)) for n in range(3, args.n_max + 1)]
-    elif target == "theorem3.7":
-        results = [(n, verify.check_theorem37(n)) for n in _parse_ns(args.n_list)]
-    elif target == "lemma3.6":
-        results = [(n, verify.check_lemma36(n)) for n in _parse_ns(args.n_list)]
-    elif target == "remark3.4":
-        results = [(n, verify.check_remark34(n)) for n in range(3, args.n_max + 1)]
-    else:
+    checks = {
+        "theorem3.4": verify.check_theorem34,
+        "remark3.4": verify.check_remark34,
+        "theorem3.7": verify.check_theorem37,
+        "lemma3.6": verify.check_lemma36,
+    }
+    if target not in checks:
         raise CliError(f"unknown verification target {target!r}", 2)
+    if target in ("theorem3.4", "remark3.4"):
+        ns = range(3, args.n_max + 1)
+        if not ns:
+            raise CliError(f"--n-max must be at least 3, got {args.n_max}", 2)
+    else:
+        ns = _parse_ns(args.n_list)
+        if not ns or any(n < 5 or n % 6 not in (1, 5) for n in ns):
+            raise CliError(f"{target} needs n >= 5 with n = 1 or 5 mod 6, got {args.n_list!r}", 2)
+    results = [(n, checks[target](n)) for n in ns]
     ok = True
     for n, good in results:
         print(f"{target} n={n}: {'ok' if good else 'MISMATCH'}")

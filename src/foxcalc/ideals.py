@@ -9,8 +9,9 @@ Normalization dispatches on the ring spec:
       g at infinite order, else a greedy, then irredundant, generating set
       of the elements, tested by division and gcd against g.
   (b) finite rings in several variables: the ideal is a Z_p-subspace of
-      the monomial basis, row reduced from the generators' coefficient
-      vectors, whose monomial multiples permute their entries.  A render
+      the monomial basis, row reduced by smith.zp_rref from the generators'
+      coefficient vectors, whose monomial multiples permute their entries;
+      membership is whether a vector leaves the rank as it is.  A render
       is a greedy, then irredundant, generating set of span vectors.
   (c) Z, Z[t^±1] and Z[t]/(t^k - 1): the reduced strong Groebner basis
       over Z[t], from S- and gcd-polynomials, whose full reduction takes
@@ -21,11 +22,12 @@ Normalization dispatches on the ring spec:
       a tuple of runs.  A render lists the basis's images in the ring, each
       once and none that is zero, so t^k - 1 is not printed.
   (d) anything else: generators only, rendered shifted, sign-normalized,
-      sorted and each once; equality falls back to probing in finite
-      quotients and is three-valued.
+      sorted and each once, unless ideal_from finds them ZERO or UNIT.
 
-The normal forms of (a) to (c) are unique, so equality there is decided by
-comparing them.  An ideal in UNIT form carries no normal-form data.
+Every normal form but GENERATORS_ONLY is unique, so equality is decided by
+comparing them; with a GENERATORS_ONLY side it falls back to probing in
+finite quotients and is three-valued.  An ideal in UNIT form carries no
+normal-form data.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import gcd
 
 from .rings import FINITE_SIZE_CAP, RingElement, RingSpec, RingError, check_degree
 from .rings import _trimmed, normalize_sign, ring_make, run_addmul, term_key
-from .smith import zp_code_search, zp_divisors, zp_fold, zp_lift, zp_rem
+from .smith import zp_code_search, zp_divisors, zp_fold, zp_lift, zp_rem, zp_rref
 
 DISPLAY_SIZE_CAP = 2**12  # elements of a finite ideal whose generating set is searched
 GROEBNER_WORK_CAP = 3 * 10**7  # coefficient operations of one strong_groebner, pairs included
@@ -231,49 +233,14 @@ def _shifts(spec):
     ]
 
 
-def _reduce_by(row, basis, pivots, p):
-    """row minus its multiples of the echelon rows, over Z_p; entries in
-    [0, p) in and out."""
-    for prow, pcol in zip(basis, pivots):
-        f = row[pcol]
-        if f:
-            row = [(a - f * b) % p for a, b in zip(row, prow)]
-    return row
-
-
-def _rref(vectors, p):
-    """Reduced row echelon form over Z_p; returns tuple of pivot rows."""
-    basis = []
-    pivots = []
-    for row in vectors:
-        row = _reduce_by(row, basis, pivots, p)
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        row = [(c * inv) % p for c in row]
-        basis.append(row)
-        pivots.append(lead)
-    # back-substitute for uniqueness
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    basis = [basis[i] for i in order]
-    pivots = [pivots[i] for i in order]
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if j != i and basis[i][pivots[j]]:
-                f = basis[i][pivots[j]]
-                basis[i] = [(a - f * b) % p for a, b in zip(basis[i], basis[j])]
-    return tuple(tuple(r) for r in basis), tuple(pivots)
-
-
 def _in_span(vec, basis, pivots, p):
-    return not any(_reduce_by(vec, basis, pivots, p))
+    return len(zp_rref([*basis, vec], p)[1]) == len(pivots)
 
 
 def _vector_span(vectors, shifts, p):
     """Echelon rows and pivots of the ideal the Z_p vectors generate, given
     the spec's _shifts."""
-    return _rref([[vec[i] for i in perm] for vec in vectors for perm in shifts], p)
+    return zp_rref([[vec[i] for i in perm] for vec in vectors for perm in shifts], p)
 
 
 def finite_ideal_span(spec, gens):
@@ -326,16 +293,6 @@ def principal_ideal(spec, g):
     return Ideal(spec, gens, NormalForm.PRINCIPAL, (g,))
 
 
-def _regime(spec):
-    if spec.nvars == 1 and spec.modulus:
-        return "principal"
-    if spec.is_finite():
-        return "finite"
-    if spec.nvars <= 1:
-        return "univariate"  # Z, or one variable over Z
-    return "other"
-
-
 def _to_zpoly(elem):
     """A ring element in one variable or none as a Z[t] run, shifted."""
     if elem.spec.nvars == 0:
@@ -380,16 +337,14 @@ def ideal_normalize(ideal):
     so it is returned as it is."""
     if ideal.normal_form in (NormalForm.ZERO, NormalForm.UNIT) or ideal.data:
         return ideal
-    spec = ideal.spec
-    regime = _regime(spec)
-    gens = ideal.generators
+    spec, gens = ideal.spec, ideal.generators
     if not gens:
         return Ideal(spec, (), NormalForm.ZERO)
-    if regime == "principal":
+    if spec.nvars == 1 and spec.modulus:
         k, p = spec.variables[0][1], spec.modulus
         g = next(iter(zp_divisors([[zp_lift(e.run, k) for e in gens]], p)), ())
         return principal_ideal(spec, zp_fold(g, k, p))
-    if regime == "finite":
+    if spec.is_finite():
         if spec.monomial_count() > FINITE_SIZE_CAP or spec.size() > FINITE_SIZE_CAP:
             raise RingError(f"finite ring over FINITE_SIZE_CAP = {FINITE_SIZE_CAP}")
         basis, pivots = finite_ideal_span(spec, gens)
@@ -398,7 +353,7 @@ def ideal_normalize(ideal):
         if not basis:
             return Ideal(spec, (), NormalForm.ZERO)
         return Ideal(spec, gens, NormalForm.FINITE_SET, (basis, pivots))
-    if regime == "univariate":
+    if spec.nvars <= 1:  # Z, or one variable over Z
         k = spec.variables[0][1] if spec.nvars else 0
         check_degree(k)
         quot = [(0, (-1,) + (0,) * (k - 1) + (1,))] if k else []  # t^k - 1
@@ -414,7 +369,7 @@ def ideal_normalize(ideal):
 
 
 def ideal_contains(ideal, elem):
-    """Exact membership in regimes (a) to (c)."""
+    """Exact membership, but in a GENERATORS_ONLY ideal."""
     ideal = ideal_normalize(ideal)
     if elem.spec != ideal.spec:
         raise RingError("spec mismatch")
@@ -437,16 +392,17 @@ def ideal_contains(ideal, elem):
 
 
 def ideal_compare(a, b):
-    """Three-valued equality; exact in regimes (a) to (c), probed otherwise.
+    """Three-valued equality: exact unless either ideal normalizes to
+    GENERATORS_ONLY, probed then.
 
-    In regimes (a) to (c) the normal form is unique (monic generator, RREF
+    Every other normal form is unique (ZERO, UNIT, monic generator, RREF
     span, reduced strong basis of the saturated ideal), so equal ideals
     have equal (normal_form, data).
     """
     if a.spec != b.spec:
         raise RingError("spec mismatch")
     a, b = ideal_normalize(a), ideal_normalize(b)
-    if _regime(a.spec) != "other":
+    if NormalForm.GENERATORS_ONLY not in (a.normal_form, b.normal_form):
         eq = (a.normal_form, a.data) == (b.normal_form, b.data)
         return Comparison.EQUAL_PROVEN if eq else Comparison.UNEQUAL_PROVEN
     return probe_compare(a, b)

@@ -439,9 +439,15 @@ def _merge_rows(rows):
 
 
 def alexander_polynomial(pres, alpha, modulus=0):
-    """gcd of the generators of E_1; needs a genuine Laurent ring.  Its
-    graded-lex greatest coefficient is positive over Z and 1 over Z_p."""
+    """gcd of the generators of E_1, refused unless every order of alpha is
+    0.  Its graded-lex greatest coefficient is positive over Z and 1 over
+    Z_p: in one variable over Z_p, E_1's monic generator (elementary_ideal),
+    else the gcd of the minors."""
+    if any(k for _, k in alpha.variables):
+        raise RingError("gcd needs all variable orders 0")
     m = alexander_matrix(pres, alpha, modulus=modulus)
+    if modulus and m.spec.nvars == 1:
+        return next(iter(elementary_ideal(m, 1).generators), m.spec.zero())
     ideal = minors_ideal(reduce_matrix(m), 1)
     if ideal.is_zero():
         return m.spec.zero()

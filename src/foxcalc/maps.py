@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .rings import is_prime
+from .smith import zp_rref
 
 HOM_TARGET_CAP = 10**4
 HOM_SEARCH_NODE_CAP = 2 * 10**5  # images tried by hom_classes, k^s assignments by enumerate_epis
@@ -97,21 +98,13 @@ def _primitive_root(p):
 
 
 def mat_inv(a, p):
-    """Inverse over Z_p by Gauss-Jordan elimination."""
+    """Inverse over Z_p: the right half of the reduced row echelon form of
+    [a | I], whose pivots are 0, ..., n - 1 exactly when a is invertible."""
     n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise MapError("matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, pivots = zp_rref([(*row, *e) for row, e in zip(a, mat_identity(n))], p)
+    if pivots != tuple(range(n)):
+        raise MapError("matrix not invertible")
+    return tuple(row[n:] for row in rows)
 
 
 class _IndexedGroup:
@@ -399,7 +392,8 @@ def twins(rep, alpha=None):
     I on generator g is again a hom into the same group, for every zeta in
     Z_p^* with zeta^n = zeta^k = 1: the m-th roots of unity,
     m = gcd(n, k, p - 1).  None keeps zeta = 1, and so does p = 2, where
-    m = 1 and, as over GL, the twist is None."""
+    m = 1 and, as over GL, the twist is None.  The twist's power 0 with
+    zeta = 1 is rep itself and is not searched, so at p = 2 nothing is."""
     group, images = rep.indexed()
     p, twist, n = group.p, group.twist, rep.n
     m = gcd(n, alpha.variables[0][1], p - 1) if alpha else 1
@@ -410,8 +404,8 @@ def twins(rep, alpha=None):
         (pow(zeta, j, p), [group.power(scalar, j * e) for e in exponents]) for j in range(m)
     ]
     seen, x = {images}, images
-    for _ in range(gcd(n, p - 1) if twist else 1):
-        for z, scalars in central:
+    for c in range(gcd(n, p - 1) if twist else 1):
+        for z, scalars in central[1:] if c == 0 else central:  # rep itself left out
             least = group.least_conjugate(tuple(map(group.mul, x, scalars)))
             if least not in seen:
                 seen.add(least)

@@ -3,8 +3,10 @@ being runs as in RingElement, added by rings.run_addmul: Smith elimination
 over Z_p[t^±1], Euclidean by span (Cohen, Computational Algebraic Number
 Theory, 2.4), at a finite order on a Laurent lift of the entries, and base
 change of Fitting ideals (Eisenbud, Commutative Algebra, 20.2): at order k,
-E_d is (gcd(Delta_q, t^k - 1))."""
+E_d is (gcd(Delta_q, t^k - 1)).  Over Z_p itself, one row reduction,
+zp_rref, for finite spans and matrix inverses."""
 
+from bisect import bisect
 from itertools import product
 from operator import sub
 
@@ -86,6 +88,33 @@ def zp_divisors(rows, p):
         out.append(delta)
         a = [b[:j] + b[j + 1 :] for r, b in enumerate(a) if r != i and any(cs for _, cs in b)]
     return out
+
+
+def zp_rref(rows, p):
+    """The reduced row echelon form over Z_p of integer rows, in one pass:
+    (rows, pivot columns), ascending.  Each row joins reduced by the rows so
+    far, scaled to 1 at its pivot, cleared from their pivot column and put
+    in its place, so the rows stay reduced and sorted."""
+    basis, pivots = [], []
+    for row in rows:
+        row = [c % p for c in row]
+        for b, j in zip(basis, pivots):
+            if row[j]:
+                f = row[j]
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        lead = next((j for j, c in enumerate(row) if c), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        row = [c * inv % p for c in row]
+        for i, b in enumerate(basis):
+            if b[lead]:
+                f = b[lead]
+                basis[i] = [(x - f * y) % p for x, y in zip(b, row)]
+        i = bisect(pivots, lead)
+        basis.insert(i, row)
+        pivots.insert(i, lead)
+    return tuple(map(tuple, basis)), tuple(pivots)
 
 
 def zp_fold(g, k, p):

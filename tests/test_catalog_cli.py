@@ -497,6 +497,15 @@ BAD_INPUTS = [
     ["table3", "yoshikawa:0_1", "--k", "-2"],
     ["table1", "theta:3", "--k", "1"],
     ["table1", "theta:3", "--k", "0"],
+    # an empty n range checked nothing and exited 0, and an n outside the
+    # theorem's hypotheses exited 1 from inside a check: no check runs
+    ["verify", "theorem3.4", "--n-max", "2"],
+    ["verify", "remark3.4", "--n-max", "2"],
+    ["verify", "theorem3.7", "--n-list="],
+    ["verify", "lemma3.6", "--n-list=,"],
+    ["verify", "theorem3.7", "--n-list", "4"],
+    ["verify", "theorem3.7", "--n-list", "5,9"],
+    ["verify", "lemma3.6", "--n-list", "5,3"],
 ]
 
 

@@ -35,6 +35,7 @@ from foxcalc.invariants import alexander_matrix, elementary_ideal, minors_ideal
 from foxcalc.maps import abelian_map
 from foxcalc.presentations import parse_presentation
 from foxcalc.rings import FINITE_SIZE_CAP, RingElement, RingError, _trimmed, ring_make, term_key
+from foxcalc.smith import zp_rref
 
 ZT = ring_make(0, (("t", 0),))
 Z2T = ring_make(2, (("t", 2),))
@@ -511,6 +512,28 @@ def test_probe_compare_multivariate():
     assert probe_compare(a, c) is Comparison.UNEQUAL_PROVEN
 
 
+def test_several_variables_compare_zero_and_unit_by_normal_form():
+    # (0) and (1) are normal forms in every ring: compared exactly, where
+    # (1) against (u) and (0) against (0) were probed, and undetermined
+    for p in (0, 3):
+        spec = ring_make(p, (("u", 0), ("t", 0)))
+        zero, one = ideal_from(spec, ()), ideal_from(spec, (spec.one(),))
+        u = ideal_from(spec, (spec.monomial((1, 0)),))
+        assert ideal_equals(one, u)
+        assert ideal_compare(zero, ideal_from(spec, ())) is Comparison.EQUAL_PROVEN
+        assert ideal_compare(zero, one) is Comparison.UNEQUAL_PROVEN
+    # a side of generators only is probed: (u - 1) is proper mod 2, and
+    # (u - 1) against (u - 1, 2u - 2) agrees in every probe
+    spec = ring_make(0, (("u", 0), ("t", 0)))
+    u, one = spec.monomial((1, 0)), spec.one()
+    a = ideal_from(spec, (u - one,))
+    assert ideal_compare(a, ideal_from(spec, (one,))) is Comparison.UNEQUAL_PROVEN
+    b = ideal_from(spec, (u - one, spec.from_int(2) * (u - one)))
+    assert ideal_compare(a, b) is Comparison.UNDETERMINED
+    with pytest.raises(UndecidableError):
+        ideal_equals(a, b)
+
+
 def test_multivariate_exact_equality_undecidable_raises():
     spec = ring_make(0, (("x", 0), ("y", 0)))
     x, y, one = spec.monomial((1, 0)), spec.monomial((0, 1)), spec.one()
@@ -751,11 +774,62 @@ def _ref_vector(elem, index):
     return vec
 
 
+def _ref_reduce_by(row, basis, pivots, p):
+    for prow, pcol in zip(basis, pivots):
+        f = row[pcol]
+        if f:
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+    return row
+
+
+def _ref_rref(vectors, p):
+    """The row reduction of the finite regime before smith.zp_rref: an
+    echelon form, then a sort by pivot and a back-substitution."""
+    basis, pivots = [], []
+    for row in vectors:
+        row = _ref_reduce_by(row, basis, pivots, p)
+        lead = next((i for i, c in enumerate(row) if c), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        basis.append([(c * inv) % p for c in row])
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    basis, pivots = [basis[i] for i in order], [pivots[i] for i in order]
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            if j != i and basis[i][pivots[j]]:
+                f = basis[i][pivots[j]]
+                basis[i] = [(a - f * b) % p for a, b in zip(basis[i], basis[j])]
+    return tuple(tuple(r) for r in basis), tuple(pivots)
+
+
+@st.composite
+def zp_row_lists(draw):
+    """Up to 8 rows of up to 10 entries in [0, p), p from 2 to 11, then up
+    to 2 more, each a row plus a multiple of a row: repeated rows among them."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(0, p - 1))
+        rows.append([(x + c * y) % p for x, y in zip(a, b)])
+    return p, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(zp_row_lists())
+def test_zp_rref_matches_two_phase_reference(case):
+    p, rows = case
+    assert zp_rref(rows, p) == _ref_rref(rows, p)
+
+
 def _ref_finite_ideal_span(spec, gens):
     monomials = spec.all_monomials()
     index = {m: i for i, m in enumerate(monomials)}
     vectors = [_ref_vector(g * spec.monomial(m), index) for g in gens for m in monomials]
-    return ideals_module._rref(vectors, spec.modulus)
+    return _ref_rref(vectors, spec.modulus)
 
 
 def _ref_finite_elements(spec, basis):

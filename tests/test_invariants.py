@@ -48,7 +48,8 @@ from foxcalc.maps import (
     twins,
 )
 from foxcalc.presentations import Presentation, Word, parse_presentation
-from foxcalc.rings import RingElement, RingMatrix, reduce_matrix, ring_make
+from foxcalc.rings import RingElement, RingError, RingMatrix, content_gcd, normalize_sign
+from foxcalc.rings import reduce_matrix, ring_make
 from foxcalc.smith import by_shape, zp_divisors, zp_elementary
 
 ZT = ring_make(0, (("t", 0),))
@@ -225,6 +226,66 @@ def test_alexander_polynomial_over_zp_is_monic():
     assert g == z5t.from_int(2) + t
     pres = parse_presentation("< x, y | x^2 y^-2 >")
     assert alexander_polynomial(pres, cyclic_map(pres, (1, 1), 0), 5) == one + t
+
+
+def _minors_alexander_polynomial(pres, alpha, modulus):
+    """alexander_polynomial as it was over Z_p in one variable before it read
+    E_1's generator: the gcd of the (s-1)-minors, made monic, the reference."""
+    m = alexander_matrix(pres, alpha, modulus=modulus)
+    ideal = minors_ideal(reduce_matrix(m), 1)
+    if ideal.is_zero():
+        return m.spec.zero()
+    g = normalize_sign(content_gcd(ideal.generators).shift_to_origin())
+    return g * m.spec.from_int(pow(g.sorted_terms()[-1][1], -1, modulus))
+
+
+@st.composite
+def killed_presentations(draw):
+    """1 to 4 generators sent to t^a, a in {-2, -1, 1, 2} and 1 for the
+    first, and 1 to 3 relators of up to 4 letters, exponents in -3..3, each
+    closed by a power of the first generator so that alpha kills it."""
+    s = draw(st.integers(1, 4))
+    images = [1] + draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=s - 1, max_size=s - 1))
+    letters = st.tuples(st.integers(0, s - 1), st.integers(-3, 3).filter(bool))
+    relators = []
+    for word in draw(st.lists(st.lists(letters, min_size=1, max_size=4), min_size=1, max_size=3)):
+        total = sum(e * images[g] for g, e in word)
+        relators.append(Word(tuple(word + [(0, -total)])))
+    pres = Presentation(tuple(f"x{i}" for i in range(s)), tuple(relators))
+    return pres, cyclic_map(pres, images, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(killed_presentations(), st.sampled_from([2, 3]))
+def test_alexander_polynomial_over_zp_matches_minors_route(case, p):
+    pres, alpha = case
+    try:
+        want = _minors_alexander_polynomial(pres, alpha, p)
+    except RingError:  # DET_CAP or MINOR_CAP: the minors route has no answer
+        return
+    assert alexander_polynomial(pres, alpha, p) == want
+
+
+def test_alexander_polynomial_over_z3_past_det_cap():
+    # x_i^2 x_(i+1)^-2 for i = 1..11: E_1 from one elimination, where the
+    # minors route stopped at an 11 x 11 determinant
+    names = [f"x{i}" for i in range(1, 13)]
+    rels = ", ".join(f"{a}^2 {b}^-2" for a, b in zip(names, names[1:]))
+    pres = parse_presentation(f"< {', '.join(names)} | {rels} >")
+    alpha = cyclic_map(pres, (1,) * 12, 0)
+    with pytest.raises(RingError, match="DET_CAP"):
+        _minors_alexander_polynomial(pres, alpha, 3)
+    assert alexander_polynomial(pres, alpha, 3).render() == "1+2t+t^2+t^9+2t^10+t^11"
+
+
+@pytest.mark.parametrize(
+    "source, k", [("< x, y | x^3 >", 3), ("< x, y | x y x^-1 y^-1 >", 4)]
+)
+def test_alexander_polynomial_refuses_finite_orders(source, k):
+    # one generator of E_1 was returned as it was, two met poly_gcd's refusal
+    pres = parse_presentation(source)
+    with pytest.raises(RingError, match="gcd needs all variable orders 0"):
+        alexander_polynomial(pres, cyclic_map(pres, (1, 1), k))
 
 
 def test_theorem37_unreduced_reference():

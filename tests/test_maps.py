@@ -4,7 +4,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foxcalc.maps import (
@@ -418,3 +418,60 @@ def test_hom_classes_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _gauss_jordan_inverse(a, p):
+    """mat_inv as it was before it read the inverse off zp_rref of [a | I]:
+    its own Gauss-Jordan elimination, the reference."""
+    n = len(a)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
+        if piv is None:
+            raise MapError("matrix not invertible")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [(x * inv) % p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices, st.sampled_from([2, 3, 5, 7, 11]))
+@example(((1, 2), (2, 4)), 5)
+@example(((0, 0), (0, 1)), 2)
+@example(((3,),), 3)
+@example(((2, 1), (1, 1)), 3)
+def test_mat_inv_matches_gauss_jordan_reference(a, p):
+    try:
+        want = _gauss_jordan_inverse(a, p)
+    except MapError:
+        with pytest.raises(MapError, match="^matrix not invertible$"):
+            mat_inv(a, p)
+        return
+    assert mat_inv(a, p) == want
+    assert mat_mul(a, want, p) == mat_identity(len(a))
+
+
+def test_twins_search_nothing_at_p_2(monkeypatch):
+    # at p = 2 there is no twist and no central twist: rep's orbit is rep
+    # alone, so no least conjugate is looked for; at p = 3 there are twins
+    from foxcalc import maps
+
+    calls = []
+    least = maps._IndexedGroup.least_conjugate
+
+    def counting(group, images):
+        calls.append(group.p)
+        return least(group, images)
+
+    monkeypatch.setattr(maps._IndexedGroup, "least_conjugate", counting)
+    pres = parse_presentation("< x, y | x y x y^-1 x^-1 y^-1 >")
+    for p in (2, 3):
+        for rho, _ in hom_classes(pres, p=p):
+            twins = list(maps.twins(rho)) + list(maps.twins(rho, cyclic_map(pres, (1, 1), 0)))
+            assert p == 3 or not twins
+    assert calls and set(calls) == {3}
