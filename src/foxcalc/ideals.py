@@ -14,13 +14,16 @@ Normalization dispatches on the ring spec:
       membership is whether a vector leaves the rank as it is.  A render
       is a greedy, then irredundant, generating set of span vectors.
   (c) Z, Z[t^±1] and Z[t]/(t^k - 1): the reduced strong Groebner basis
-      over Z[t], from S- and gcd-polynomials, whose full reduction takes
-      exactly the members to zero, of the generators shifted to
-      polynomials, saturated by t over the Laurent ring, so that it is the
-      unique preimage of the Laurent ideal, with t^k - 1 adjoined at order
-      k.  Polynomials are coefficient runs, as in rings.py, and the data is
-      a tuple of runs.  A render lists the basis's images in the ring, each
-      once and none that is zero, so t^k - 1 is not printed.
+      over Z[t], from S- and gcd-polynomials, of the generators shifted to
+      polynomials, with t^k - 1 adjoined at order k.  Over the Laurent ring
+      the same queue saturates it by t, so that it is the unique preimage
+      of the Laurent ideal.  Reduction brings each coefficient into [0, m),
+      m the least |lc| of the elements of no higher degree, up a staircase
+      of those elements, so full reduction takes exactly the members to
+      zero; one budget meters the whole normalization.  Polynomials are
+      coefficient runs, as in rings.py, and the data is a tuple of runs.
+      A render lists the basis's images in the ring, each once and none
+      that is zero, so t^k - 1 is not printed.
   (d) anything else: generators only, rendered shifted, sign-normalized,
       sorted and each once, unless ideal_from finds them ZERO or UNIT.
 
@@ -43,7 +46,7 @@ from .rings import _trimmed, normalize_sign, ring_make, run_addmul, term_key
 from .smith import zp_code_search, zp_divisors, zp_fold, zp_lift, zp_rem, zp_rref
 
 DISPLAY_SIZE_CAP = 2**12  # elements of a finite ideal whose generating set is searched
-GROEBNER_WORK_CAP = 3 * 10**7  # coefficient operations of one strong_groebner, pairs included
+GROEBNER_WORK_CAP = 3 * 10**7  # coefficient operations of one strong_groebner, per 64-bit word
 PROBES = ((2, 2), (2, 3), (3, 2), (3, 4), (5, 2))
 
 
@@ -86,46 +89,43 @@ def _ext_gcd(a, b):
 def zp_reduce(f, basis, work=None):
     """Fully reduce the run f by a set of Z[t] runs (Euclidean on coefficients).
 
-    Each coefficient, from the top down, is reduced by the first basis
-    element, in the basis order, whose leading term reaches it and which
-    leaves it outside [0, |lc|), until none does; it then lies in [0, m), m
-    the least |lc| of the elements reaching it.  Those elements change only
-    at their degrees, so a coefficient already in [0, m) costs one test.  A
-    constant tried first acts on each coefficient alone, so it reduces them
-    all in one pass.  Works in place on one list, f's coefficients from
-    degree 0.  A subtraction reads only the nonzero coefficients of the
-    basis element, listed at its first subtraction.  work: None, or a
-    one-item list holding what is left of a budget, which each subtraction
-    charges by the degree + 1 of the basis element it subtracts.
+    Each coefficient, from the top down, is brought into [0, |lc|) by each
+    element of no higher degree in turn, by degree, then |lc|, then basis
+    order, so it ends in [0, m), m the least of their |lc|.  Only an element
+    whose |lc| is below that of every element before it can move it: these
+    form a staircase, and a coefficient already in [0, m) costs one test.
+    Going up the staircase, the lowest element takes the largest quotient,
+    so the coefficients below stay near the size of the |lc|s; by the top
+    step alone they could grow by a factor at every degree.  On a strong
+    basis the result is the unique normal form.  Works in place on one
+    list, f's coefficients from degree 0; a subtraction reads only the
+    nonzero coefficients of the basis element.  work: None, or a one-item
+    list holding what is left of a budget, which each subtraction of
+    q t^i g charges, before it is made, (deg g + 1) * (1 + bits(q) // 64).
     """
     cs = [0] * f[0] + list(f[1])
-    if basis and basis[0][0] + len(basis[0][1]) == 1:  # a constant first
-        m = abs(basis[0][1][0])
-        cs = [c % m for c in cs]
-    # (degree, valuation, coefficients, |lc|, None until its first subtraction
-    # lists its nonzero (exponent - degree, coefficient) pairs, () if all are)
-    elems = [[v + len(gs) - 1, v, gs, abs(gs[-1]), None] for v, gs in basis]
+    stairs = []  # (degree, |lc|, lc, nonzero (exponent - degree, coefficient) pairs)
+    for v, gs in sorted(basis, key=lambda g: (g[0] + len(g[1]), abs(g[1][-1]))):
+        if not stairs or abs(gs[-1]) < stairs[-1][1]:
+            dg = v + len(gs) - 1
+            pairs = [(i - dg, x) for i, x in enumerate(gs, v) if x]
+            stairs.append((dg, abs(gs[-1]), gs[-1], pairs))
     top = len(cs) - 1
-    for low in sorted({e[0] for e in elems if e[0] <= top}, reverse=True):
-        reach = [e for e in elems if e[0] <= low]
-        m = min(e[3] for e in reach)
+    for k in range(len(stairs) - 1, -1, -1):
+        low, least = stairs[k][:2]
         for d in range(top, low - 1, -1):
-            c = cs[d]
-            while not 0 <= c < m:
-                for e in reach:  # stops: the element with |lc| = m leaves c out
-                    if not 0 <= c < e[3]:
-                        break
-                dg, v, gs, l, pairs = e
-                q = (c - c % l) // gs[-1]
-                if pairs is None:
-                    pairs = [(i - dg, x) for i, x in enumerate(gs, v) if x] if 0 in gs else ()
-                    e[4] = pairs
-                for i, x in pairs or enumerate(gs, v - dg):  # cs -= q t^(d - deg g) g
-                    cs[d + i] -= q * x
+            if 0 <= cs[d] < least:
+                continue
+            for dg, m, lc, pairs in stairs[: k + 1]:  # up the staircase
                 c = cs[d]
+                if 0 <= c < m:
+                    continue
+                q = (c - c % m) // lc
                 if work is not None:
-                    _charge(work, dg + 1)
-        top = low - 1
+                    _charge(work, (dg + 1) * (1 + q.bit_length() // 64))
+                for i, x in pairs:  # cs -= q t^(d - deg g) g
+                    cs[d + i] -= q * x
+        top = min(top, low - 1)
     return _trimmed(0, cs, 0)
 
 
@@ -142,13 +142,14 @@ def _pair_polys(f, g, work):
     """The S-polynomial (lcm of leading coefficients) and the G-polynomial
     (Bezout combination reaching their gcd) of the runs f and g, untrimmed:
     s t^(d - deg f) f + q t^(d - deg g) g, d the larger degree, each by one
-    run_addmul, which reads both runs and is charged len f + len g to the
-    budget work before it is formed (see strong_groebner)."""
+    run_addmul, which reads both runs.  Both are charged to the budget work
+    before they are formed, 2 (len f + len g) times 1 + (bits(lc f) +
+    bits(lc g)) // 64, so that coefficients past a machine word cost more."""
     (vf, fs), (vg, gs) = f, g
     df, dg, a, b = vf + len(fs) - 1, vg + len(gs) - 1, fs[-1], gs[-1]
+    _charge(work, 2 * (len(fs) + len(gs)) * (1 + (a.bit_length() + b.bit_length()) // 64))
     d, l = max(df, dg), a * b // gcd(a, b)
     _, u, w = _ext_gcd(a, b)
-    _charge(work, 2 * (len(fs) + len(gs)))
     return [
         run_addmul((vf + d - df, [s * x for x in fs]), (d - dg, (q,)), g)
         for s, q in ((l // a, -(l // b)), (u, w))
@@ -161,9 +162,31 @@ def _positive(run):
     return (v, tuple(-c for c in cs)) if cs and cs[-1] < 0 else run
 
 
-def strong_groebner(gens):
+def _colon_t(basis):
+    """Generators of (J : t) modulo J, for J generated by basis in Z[t].
+
+    t*f = sum h_i g_i forces sum h_i(0) g_i(0) = 0, so J : t is J plus
+    (sum l_i g_i)/t over the integer syzygies l of the constant terms g_i(0).
+    One syzygy per element, against a running Bezout combination acc with
+    acc(0) = a = gcd of the constant terms so far, spans them all.  Each
+    combination scales acc and is formed by one run_addmul; a run with no
+    constant term (v, cs) divided by t is (v - 1, cs).
+    """
+    out, acc, a = [], (0, ()), 0
+    for g in basis:
+        g0 = 0 if g[0] else g[1][0]
+        h, u, w = _ext_gcd(a, g0)
+        if h == 0:  # g(0) = 0 and no constant term so far
+            out.append(g)
+            continue
+        out.append(run_addmul((acc[0], [g0 // h * x for x in acc[1]]), (0, (-(a // h),)), g))
+        acc, a = run_addmul((acc[0], [u * x for x in acc[1]]), (0, (w,)), g), h
+    return [(v - 1, cs) for v, cs in (_trimmed(*q, 0) for q in out) if cs]
+
+
+def strong_groebner(gens, saturate=False):
     """Reduced strong Groebner basis of an ideal of Z[t] (univariate), of
-    runs, by increasing degree.
+    runs, by increasing degree; with saturate, of its saturation by t.
 
     Incremental: the queue is worked smallest leading term first, which
     keeps coefficients small.  It starts with each distinct generator once,
@@ -172,10 +195,12 @@ def strong_groebner(gens):
     leading term no basis element's divides, sends back to the queue every
     basis element whose leading term r's divides, so the basis stays
     minimal, and queues its S- and G-polynomials with each element that
-    stays.  Terminates because leading terms strictly improve.  Its work,
-    the reductions' subtractions (see zp_reduce) and the S- and
-    G-polynomial of each pair r, g, by len(r) + len(g) each, is at most
-    GROEBNER_WORK_CAP coefficient operations.
+    stays.  Terminates because leading terms strictly improve.  With
+    saturate, whenever the queue empties the basis J is strong, and the
+    remainders by J of the generators of (J : t) over J (see _colon_t) are
+    queued, until none is left: the result is J : t^inf.  All the work, the
+    reductions' subtractions (see zp_reduce) and the S- and G-polynomials
+    (see _pair_polys), is charged to one budget of GROEBNER_WORK_CAP.
     """
     basis, queue, work = [], [], [GROEBNER_WORK_CAP]
 
@@ -188,18 +213,20 @@ def strong_groebner(gens):
         push(g)
     while queue:
         r = _positive(zp_reduce(heapq.heappop(queue)[2], basis, work))
-        if not r[1]:
-            continue
-        (v, cs), stay = r, []
-        d, lc = v + len(cs) - 1, cs[-1]
-        for g in basis:  # r's leading term divides g's: g goes back to the queue
-            if d <= g[0] + len(g[1]) - 1 and g[1][-1] % lc == 0:
-                push(g)
-            else:
-                stay.append(g)
-                for f in _pair_polys(r, g, work):
-                    push(f)
-        basis = stay + [r]
+        if r[1]:
+            (v, cs), stay = r, []
+            d, lc = v + len(cs) - 1, cs[-1]
+            for g in basis:  # r's leading term divides g's: g goes back to the queue
+                if d <= g[0] + len(g[1]) - 1 and g[1][-1] % lc == 0:
+                    push(g)
+                else:
+                    stay.append(g)
+                    for f in _pair_polys(r, g, work):
+                        push(f)
+            basis = stay + [r]
+        if saturate and not queue:
+            for q in _colon_t(basis):
+                push(zp_reduce(q, basis, work))
     # fully interreduce for a canonical presentation; in a minimal strong
     # basis no element's leading term reduces, so each stays positive
     reduced = [zp_reduce(g, basis[:i] + basis[i + 1 :], work) for i, g in enumerate(basis)]
@@ -300,38 +327,6 @@ def _to_zpoly(elem):
     return 0, elem.coeffs
 
 
-def _colon_t(basis):
-    """Generators of (J : t) modulo J, for J with the given basis in Z[t].
-
-    t*f = sum h_i g_i forces sum h_i(0) g_i(0) = 0, so J : t is J plus
-    (sum l_i g_i)/t over the integer syzygies l of the constant terms g_i(0).
-    One syzygy per element, against a running Bezout combination acc with
-    acc(0) = a = gcd of the constant terms so far, spans them all.  Each
-    combination scales acc and is formed by one run_addmul; a run with no
-    constant term (v, cs) divided by t is (v - 1, cs).
-    """
-    out, acc, a = [], (0, ()), 0
-    for g in basis:
-        g0 = 0 if g[0] else g[1][0]
-        h, u, w = _ext_gcd(a, g0)
-        if h == 0:  # g(0) = 0 and no constant term so far
-            out.append(g)
-            continue
-        out.append(run_addmul((acc[0], [g0 // h * x for x in acc[1]]), (0, (-(a // h),)), g))
-        acc, a = run_addmul((acc[0], [u * x for x in acc[1]]), (0, (w,)), g), h
-    return [(v - 1, cs) for v, cs in (_trimmed(*q, 0) for q in out) if cs]
-
-
-def _saturate(gb):
-    """Strong basis of J : t^inf from a strong basis of J in Z[t]: the
-    canonical preimage of the Laurent ideal that J generates."""
-    while True:
-        new = [q for q in _colon_t(gb) if zp_reduce(q, gb)[1]]
-        if not new:
-            return gb
-        gb = strong_groebner(gb + tuple(new))
-
-
 def ideal_normalize(ideal):
     """Populate the normal form; idempotent.  A UNIT ideal carries no data,
     so it is returned as it is."""
@@ -357,9 +352,8 @@ def ideal_normalize(ideal):
         k = spec.variables[0][1] if spec.nvars else 0
         check_degree(k)
         quot = [(0, (-1,) + (0,) * (k - 1) + (1,))] if k else []  # t^k - 1
-        gb = strong_groebner([_to_zpoly(g) for g in gens] + quot)
-        if spec.nvars == 1 and not k:
-            gb = _saturate(gb)
+        laurent = spec.nvars == 1 and not k  # saturated by t: the unique preimage in Z[t]
+        gb = strong_groebner([_to_zpoly(g) for g in gens] + quot, saturate=laurent)
         if gb == ((0, (1,)),):
             return Ideal(spec, gens, NormalForm.UNIT)
         if not gb:

@@ -444,6 +444,20 @@ def test_cli_groebner_work_cap_charges_each_combination(capsys):
     assert err == "error: Groebner basis over GROEBNER_WORK_CAP = 30000000 coefficient operations\n"
 
 
+def test_cli_groebner_work_cap_weighs_coefficient_size(capsys):
+    # over Z[t]/(t^60 - 1) the basis's coefficients pass 40,000 bits within
+    # 66 reductions; each charge grows with the 64-bit words of the leading
+    # coefficients or the quotient, so the budget stops the basis in seconds
+    argv = ["ideal", "< x, y, z | x^-94277344 y^-337074984 z^49 x^431352279 >",
+            "--alpha=x=t,y=t,z=t@t^60", "--p=0", "--all-d"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert out == "E_0 = (0)\nE_1 = (0)\n"
+    assert err == "error: Groebner basis over GROEBNER_WORK_CAP = 30000000 coefficient operations\n"
+
+
 def test_cli_ideal_groebner_render_omits_zero_generators(capsys):
     # over Z[t]/(t^2 - 1) the reduced Z[t] basis of E_1 is {2 + 2t, t^2 - 1}
     rc = main(["ideal", "< x, y | x^4 y^-4 >", "--alpha", "x=t,y=t@t^2"])

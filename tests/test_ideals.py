@@ -15,8 +15,8 @@ from foxcalc.ideals import (
     Comparison,
     NormalForm,
     UndecidableError,
+    _colon_t,
     _ext_gcd,
-    _saturate,
     _to_zpoly,
     finite_ideal_span,
     ideal_compare,
@@ -103,9 +103,9 @@ def _dense(run):
     return (0,) * v + cs
 
 
-def reduce_tuples(f, basis):
+def reduce_tuples(f, basis, work=None):
     """zp_reduce on coefficient tuples."""
-    return _dense(zp_reduce(_run(f), [_run(g) for g in basis]))
+    return _dense(zp_reduce(_run(f), [_run(g) for g in basis], work))
 
 
 def groebner_tuples(gens):
@@ -315,17 +315,42 @@ def zp_top_reduces_to_zero_reference(f, basis):
     return True
 
 
+def zp_reduce_staircase_reference(f, basis, work=None):
+    """zp_reduce's rule, rebuilding the whole polynomial at every step and
+    subtracting every coefficient of the element, zeros too: from the top
+    down, each element of degree at most d, by degree, then |lc|, then the
+    basis order, brings the coefficient at degree d into [0, |lc|) when it
+    lies outside; each subtraction of q t^i g is charged (deg g + 1) *
+    (1 + bits(q) // 64) to work before it is made."""
+    f = _trim(f)
+    for d in range(len(f) - 1, -1, -1):
+        for g in sorted((g for g in basis if _deg(g) <= d), key=lambda g: (_deg(g), abs(_lc(g)))):
+            c = f[d] if d < len(f) else 0
+            if 0 <= c < abs(_lc(g)):
+                continue
+            q = (c - c % abs(_lc(g))) // _lc(g)
+            if work is not None:
+                work[0] -= (_deg(g) + 1) * (1 + q.bit_length() // 64)
+                if work[0] < 0:
+                    raise RingError("over GROEBNER_WORK_CAP")
+            f = _add(f, _neg(_scale_shift(g, q, d - _deg(g))))
+    return f
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.integers(-50, 50), max_size=14),
     st.lists(zpolys.filter(bool), max_size=4),
 )
 def test_zp_reduce_matches_reference(f, basis):
-    # f as drawn, trailing zeros included; basis in arbitrary order, as the
-    # result depends on which element is tried first
-    assert reduce_tuples(f, basis) == zp_reduce_reference(f, basis)
+    # f as drawn, trailing zeros included; on a basis in arbitrary order the
+    # remainder depends on the reducer chosen, here the staircase's
+    assert reduce_tuples(f, basis) == zp_reduce_staircase_reference(f, basis)
+    # on a strong basis, in either order, every rule reaches the one normal
+    # form: the reference from before zp_reduce worked in place agrees
     gb = groebner_tuples(basis)
-    assert reduce_tuples(f, gb) == zp_reduce_reference(f, gb)
+    for strong in (gb, gb[::-1]):
+        assert reduce_tuples(f, strong) == zp_reduce_reference(f, strong)
     # on a strong basis, membership is full reduction to zero
     assert (not reduce_tuples(f, gb)) == zp_top_reduces_to_zero_reference(f, gb)
 
@@ -337,41 +362,16 @@ def test_zp_reduce_matches_reference(f, basis):
     st.sampled_from([(), (2,), (3,), (6,)]),
 )
 def test_zp_reduce_matches_scan_reference(f, gens, constant):
-    # a strong basis, a constant first as over Z_p, and the raw generators in
-    # the order drawn: the choice of reducer is the scan's in every case
+    # a strong basis, with a constant as over Z_p, in either order: the
+    # scan for the first element that reduces a coefficient reaches the
+    # normal form too
     gb = groebner_tuples(gens + ([constant] if constant else []))
-    for basis in (gb, gens, [constant] + gens if constant else gens):
+    for basis in (gb, gb[::-1]):
         assert reduce_tuples(f, basis) == zp_reduce_scan_reference(f, basis)
-
-
-def zp_reduce_dense_reference(f, basis, work=None):
-    """zp_reduce as it was before a subtraction read only the nonzero
-    coefficients of the basis element: it subtracts every one, zeros too."""
-    cs = [0] * f[0] + list(f[1])
-    if basis and basis[0][0] + len(basis[0][1]) == 1:
-        m = abs(basis[0][1][0])
-        cs = [c % m for c in cs]
-    elems = [(v + len(gs) - 1, v, gs, abs(gs[-1])) for v, gs in basis]
-    top = len(cs) - 1
-    for low in sorted({e[0] for e in elems if e[0] <= top}, reverse=True):
-        reach = [e for e in elems if e[0] <= low]
-        m = min(e[3] for e in reach)
-        for d in range(top, low - 1, -1):
-            c = cs[d]
-            while not 0 <= c < m:
-                for dg, v, gs, l in reach:
-                    if not 0 <= c < l:
-                        break
-                q = (c - c % l) // gs[-1]
-                for i, x in enumerate(gs, d - dg + v):
-                    cs[i] -= q * x
-                c = cs[d]
-                if work is not None:
-                    work[0] -= dg + 1
-                    if work[0] < 0:
-                        raise RingError("over GROEBNER_WORK_CAP")
-        top = low - 1
-    return _trimmed(0, cs, 0)
+    # the raw generators in the order drawn, a constant first or not: the
+    # choice of reducer is the staircase's
+    for basis in (gens, [constant] + gens if constant else gens):
+        assert reduce_tuples(f, basis) == zp_reduce_staircase_reference(f, basis)
 
 
 sparse_zpolys = (
@@ -381,19 +381,20 @@ sparse_zpolys = (
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.integers(-60, 60), max_size=24),
+    st.lists(st.integers(-60, 60) | st.integers(-(2**140), 2**140), max_size=24),
     st.lists(sparse_zpolys, min_size=1, max_size=4),
     st.none() | st.integers(0, 300),
     st.booleans(),
 )
 def test_sparse_zp_reduce_matches_dense_reference(f, gens, budget, strong):
-    # the same remainder, or the same refusal, with the same work left
-    basis = [_run(g) for g in (groebner_tuples(gens) if strong else gens)]
+    # the same remainder, or the same refusal, with the same work left, where
+    # a quotient past 64 bits costs more
+    basis = groebner_tuples(gens) if strong else gens
     results = []
-    for reduce in (zp_reduce, zp_reduce_dense_reference):
+    for reduce in (reduce_tuples, zp_reduce_staircase_reference):
         work = None if budget is None else [budget]
         try:
-            results.append((reduce(_run(f), basis, work), work))
+            results.append((reduce(f, basis, work), work))
         except RingError:
             results.append(("refused", work))
     assert results[0] == results[1]
@@ -581,7 +582,67 @@ def test_laurent_ideal_is_saturated():
     # (4, 2t + 4, t^2 + 4) = (4, 2t, t^2) needs two rounds: J : t = (2, t), then (1)
     assert render_ideal(ideal_from(ZT, (four, two * t + four, t * t + four))) == "(1)"
     # a basis with no constant term at all: (2t, t^2) : t^inf = (1)
-    assert _saturate(strong_groebner([_run((0, 2)), _run((0, 0, 1))])) == (_run((1,)),)
+    assert strong_groebner([_run((0, 2)), _run((0, 0, 1))], saturate=True) == (_run((1,)),)
+
+
+def saturate_reference(gb):
+    """The saturation as it was before it ran in the engine's queue: the
+    whole engine restarted on gb and the colon elements that do not reduce
+    to zero, until none is left."""
+    while True:
+        new = [q for q in _colon_t(gb) if zp_reduce(q, gb)[1]]
+        if not new:
+            return gb
+        gb = strong_groebner(gb + tuple(new))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), zpolys.filter(bool)), min_size=1, max_size=5))
+def test_saturation_in_one_queue_matches_restarts(shifted):
+    # generators t^j g, so that t divides some of them
+    gens = [_run((0,) * j + g) for j, g in shifted]
+    assert strong_groebner(gens, saturate=True) == saturate_reference(strong_groebner(gens))
+
+
+def test_laurent_ideal_normalized_by_one_engine_call():
+    # theta:8's E_7 = (3, 1 + t) over Z[t^±1], and (4, 2t + 4, t^2 + 4), whose
+    # saturation takes two rounds of colon elements: one strong_groebner call
+    # each, and it saturates
+    pres = theta_presentation(8)
+    t, two, four = _t(), ZT.from_int(2), ZT.from_int(4)
+    cases = (
+        (minors_ideal(alexander_matrix(pres, theta_alpha(pres, 8)), 7), "(3,1+t)"),
+        (ideal_from(ZT, (four, two * t + four, t * t + four)), "(1)"),
+    )
+    for ideal, want in cases:
+        with mock.patch.object(ideals_module, "strong_groebner", wraps=strong_groebner) as engine:
+            assert render_ideal(ideal) == want
+        assert engine.call_count == 1
+        assert engine.call_args.kwargs == {"saturate": True}
+
+
+def test_saturation_charges_colon_reductions():
+    # every reduction in the engine, the colon elements' included, is charged
+    # to its one budget: (4, 2t + 4, t^2 + 4) : t^inf = (1)
+    colons, calls = [], []
+
+    def colon(basis):
+        out = _colon_t(basis)
+        colons.extend(out)
+        return out
+
+    def metered(f, basis, work=None):
+        calls.append((f, work is not None))
+        return zp_reduce(f, basis, work)
+
+    gens = [_run((4,)), _run((4, 2)), _run((4, 0, 1))]
+    with (
+        mock.patch.object(ideals_module, "_colon_t", colon),
+        mock.patch.object(ideals_module, "zp_reduce", metered),
+    ):
+        assert strong_groebner(gens, saturate=True) == (_run((1,)),)
+    assert colons and set(colons) <= {f for f, _ in calls}
+    assert all(charged for _, charged in calls)
 
 
 def test_laurent_membership_matches_shift_reference():
@@ -1092,7 +1153,7 @@ def _one_variable_zp_reference(spec, gens):
             return "(" + ",".join(g.render() for g in _ref_greedy(spec, basis)) + ")"
 
         return (basis, pivots), member, render
-    gb = _saturate(strong_groebner([_to_zpoly(g) for g in nonzero] + [(0, (p,))]))
+    gb = strong_groebner([_to_zpoly(g) for g in nonzero] + [(0, (p,))], saturate=True)
 
     def render():
         images = dict.fromkeys(RingElement(spec, g).render() for g in gb)
