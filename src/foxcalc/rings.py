@@ -410,36 +410,14 @@ class RingMatrix:
 
 
 def det(spec, rows):
-    """Division-free determinant by cofactor expansion memoized on column sets.
-
-    rows: list of equal-length tuples of RingElement, square.
-    """
+    """Division-free determinant: the one full-size minor of the square
+    matrix rows, a list of equal-length tuples of RingElement."""
     n = len(rows)
     if n == 0:
         return spec.one()
     if any(len(r) != n for r in rows):
         raise RingError("determinant of non-square matrix")
-    if n > DET_CAP:
-        raise RingError(f"determinant size {n} over DET_CAP = {DET_CAP}")
-    cache = {}
-
-    def rec(row, cols):
-        if len(cols) == 1:
-            return rows[row][cols[0]]
-        key = cols
-        if key in cache:
-            return cache[key]
-        total = spec.zero()
-        for pos, j in enumerate(cols):
-            a = rows[row][j]
-            if a.is_zero():
-                continue
-            sub = rec(row + 1, cols[:pos] + cols[pos + 1 :])
-            total = total + a * sub if pos % 2 == 0 else total - a * sub
-        cache[key] = total
-        return total
-
-    return rec(0, tuple(range(n)))
+    return minors(RingMatrix(spec, tuple(map(tuple, rows)), n, n), n)[0]
 
 
 def minors(m, q):
@@ -447,7 +425,10 @@ def minors(m, q):
 
     Ordered lexicographically by (row subset, column subset), so for q = 1
     the entries row by row.  Empty if q exceeds either dimension.  More than
-    MINOR_CAP of them raises RingError.
+    MINOR_CAP of them, or q over DET_CAP, raises RingError.  Each minor is
+    a Laplace expansion along its first row, skipping zero entries; a
+    memo keyed by (rows, columns) computes each smaller minor once for all
+    the minors of the call that reach it.
     """
     if q < 1:
         raise RingError("minor size must be >= 1")
@@ -459,12 +440,25 @@ def minors(m, q):
         raise RingError(f"{count} minors of size {q} over MINOR_CAP = {MINOR_CAP}")
     if q == 1:
         return [e for row in m.entries for e in row]
-    out = []
-    for rowsel in itertools.combinations(range(t), q):
-        for colsel in itertools.combinations(range(s), q):
-            sub = [tuple(m.entries[i][j] for j in colsel) for i in rowsel]
-            out.append(det(m.spec, sub))
-    return out
+    if q > DET_CAP:
+        raise RingError(f"determinant size {q} over DET_CAP = {DET_CAP}")
+    entries, zero, memo = m.entries, m.spec.zero(), {}
+
+    def minor(rows, cols):
+        if len(rows) == 1:
+            return entries[rows[0]][cols[0]]
+        if (rows, cols) not in memo:
+            total, row = zero, entries[rows[0]]
+            for pos, j in enumerate(cols):
+                a = row[j]
+                if not a.is_zero():
+                    sub = minor(rows[1:], cols[:pos] + cols[pos + 1 :])
+                    total = total + a * sub if pos % 2 == 0 else total - a * sub
+            memo[rows, cols] = total
+        return memo[rows, cols]
+
+    subsets = itertools.combinations
+    return [minor(r, c) for r in subsets(range(t), q) for c in subsets(range(s), q)]
 
 
 def reduce_matrix(m):

@@ -166,7 +166,8 @@ def test_groebner_known_examples():
 def buchberger_reference(gens):
     """Strong Groebner basis of an ideal of Z[t] by the plain Buchberger loop:
     every input in the basis first, every pair's S- and G-polynomial reduced
-    by the whole basis, nothing dropped until the end."""
+    by the whole basis, nothing dropped until the end.  It reduces by this
+    file's zp_reduce_scan_reference, not by the zp_reduce it checks."""
     basis = [_trim(g) for g in gens if _trim(g)]
     basis = [g if _lc(g) > 0 else _neg(g) for g in basis]
     pairs = list(itertools.combinations(range(len(basis)), 2))
@@ -184,7 +185,7 @@ def buchberger_reference(gens):
         _, u, v = _ext_gcd(a, b)
         gpoly = _add(_scale_shift(f, u, d - df), _scale_shift(g, v, d - dg))
         for cand in (spoly, gpoly):
-            cand = reduce_tuples(cand, basis)
+            cand = zp_reduce_scan_reference(cand, basis)
             if cand:
                 if _lc(cand) < 0:
                     cand = _neg(cand)
@@ -199,7 +200,7 @@ def buchberger_reference(gens):
     reduced = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        r = reduce_tuples(g, others) if others else g
+        r = zp_reduce_scan_reference(g, others) if others else g
         if r:
             if _lc(r) < 0:
                 r = _neg(r)

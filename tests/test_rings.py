@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,58 @@ def test_minor_cap_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(rings, "det", None)  # not one minor is taken
     with pytest.raises(RingError, match="MINOR_CAP"):
         minors(m, 6)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A t x s matrix, t, s <= 5, over Z[t^±1], Z_3[t]/(t^4 - 1) or
+    Z[u^±1, v^±1], zero entries drawn often."""
+    specs = (ZT, ring_make(3, (("t", 4),)), ring_make(0, (("u", 0), ("v", 0))))
+    spec = draw(st.sampled_from(specs))
+    t, s = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(-2, 2)] * spec.nvars)
+    terms = st.one_of(st.just({}), st.dictionaries(exps, st.integers(-3, 3), max_size=3))
+    rows = [[RingElement(spec, draw(terms)) for _ in range(s)] for _ in range(t)]
+    return RingMatrix.build(spec, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_minors_match_permutation_expansion(m):
+    # every minor of the shared expansion, in order, against the permutation
+    # expansion of its own submatrix; det is the full-size minor
+    t, s = m.declared_rows, m.declared_cols
+    for q in range(1, min(t, s) + 1):
+        want = [
+            perm_det(m.spec, [[m.entries[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(t), q)
+            for cols in itertools.combinations(range(s), q)
+        ]
+        assert minors(m, q) == want
+    if t == s:
+        assert det(m.spec, m.entries) == perm_det(m.spec, m.entries)
+
+
+def test_minors_compute_each_sub_minor_once(monkeypatch):
+    # a j-minor reached by the first-row expansions of the 3-minors of a 4 x 5
+    # matrix has its rows among the last 4 - 3 + j; with no zero entry each
+    # costs j products, sum over j = 2..3 of j C(4 - 3 + j, j) C(5, j) = 180,
+    # where a determinant per minor makes 9 for each of the 40
+    import foxcalc.rings as rings
+
+    rng = random.Random(31)
+    entry = lambda: ZT.from_int(rng.randrange(1, 9)) + ZT.monomial((rng.randrange(1, 3),))
+    m = RingMatrix.build(ZT, [[entry() for _ in range(5)] for _ in range(4)])
+    want = minors(m, 3)
+    products, mul = [0], rings._DenseElement.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(rings._DenseElement, "__mul__", counted)
+    assert minors(m, 3) == want
+    assert products[0] <= sum(j * comb(4 - 3 + j, j) * comb(5, j) for j in (2, 3)) == 180
 
 
 def test_reduce_matrix_preserves_elementary_ideals():
