@@ -10,9 +10,11 @@ has one of two representations, picked from the number of variables:
     t^v (c_0 + c_1 t + ... + c_n t^n) with c_0 and c_n nonzero, behind the
     RingElement interface.  It overrides only what the Fox walk,
     reduce_matrix, det and render use; its sums and products are
-    run_addmul, the one a + q b on runs, aligning and convolving them
-    (Knuth, TAOCP vol. 2, section 4.6), which smith.py shares.  An
-    element whose exponents span more than DEGREE_CAP is refused.
+    run_addmul, the one a + q b on runs, which smith.py shares: it aligns
+    them, and convolves short or sparse runs (Knuth, TAOCP vol. 2, section
+    4.6) and multiplies long dense ones as one integer product, by
+    Kronecker substitution.  An element whose exponents span more than
+    DEGREE_CAP is refused.
   - none or several variables: a map from exponent vectors to nonzero
     coefficients.
 
@@ -304,7 +306,7 @@ class _DenseElement(RingElement):
     def __mul__(self, other):
         self._check(other)
         n, k = len(self.coeffs) + len(other.coeffs) - 2, self.spec.variables[0][1]
-        check_degree(min(n, k - 1) if k else n)  # refused before the product is convolved
+        check_degree(min(n, k - 1) if k else n)  # refused before the product is formed
         return RingElement(self.spec, run_addmul((0, ()), self.run, other.run))
 
     def is_zero(self):
@@ -335,22 +337,56 @@ def _render_terms(terms):
     return s[1:] if s[:1] == "+" else s or "0"
 
 
+KRONECKER_MIN = 16  # terms of the shorter of q and b, and nonzero ones of both, for _kron
+
+
 def run_addmul(a, q, b):
-    """a + q b on runs, untrimmed, convolving over the shorter of q and b."""
+    """a + q b on runs, untrimmed.  Below KRONECKER_MIN terms in the shorter
+    of q and b it convolves over that one; from there it takes q b by
+    _kron if both hold KRONECKER_MIN nonzero coefficients, and otherwise
+    convolves over the one with fewer."""
     (va, ca), (vq, cq), (vb, cb) = a, q, b
     if len(cq) > len(cb):
         cq, cb = cb, cq
     if not cq:
         return a
-    lo, hi, n = vq + vb, vq + vb + len(cq) + len(cb) - 1, len(cb)
+    lo, hi = vq + vb, vq + vb + len(cq) + len(cb) - 1
     if ca:
         lo, hi = min(lo, va), max(hi, va + len(ca))
     out = [0] * (hi - lo)
     out[va - lo : va - lo + len(ca)] = ca
+    if len(cq) >= KRONECKER_MIN:
+        nq, nb = len(cq) - cq.count(0), len(cb) - cb.count(0)
+        if nq >= KRONECKER_MIN and nb >= KRONECKER_MIN:
+            cq, cb = (1,), _kron(cq, cb)  # the product, added in one pass
+        elif nb < nq:
+            cq, cb = cb, cq
+    n = len(cb)
     for i, x in enumerate(cq, vq + vb - lo):
         if x:
             out[i : i + n] = map(add, out[i : i + n], map(x.__mul__, cb))
     return lo, out
+
+
+def _kron(x, y):
+    """The coefficients of x y by Kronecker substitution (von zur Gathen and
+    Gerhard, Modern Computer Algebra, section 8.4): each run packed into one
+    integer, w bytes a coefficient, w wide enough for every coefficient of
+    the product and its sign, the two multiplied once and read back."""
+    bound = min(len(x), len(y)) * max(map(abs, x)) * max(map(abs, y))
+    w, n = (bound.bit_length() + 8) // 8, len(x) + len(y) - 1
+    half = 1 << (8 * w - 1)
+
+    def pack(cs):  # the positive part minus the negative part, each by bytes
+        zero = bytes(w)
+        pos = b"".join([c.to_bytes(w, "little") if c > 0 else zero for c in cs])
+        neg = b"".join([(-c).to_bytes(w, "little") if c < 0 else zero for c in cs])
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    # each slot of the product, biased by half, lies in [0, 2^(8w))
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    out = (pack(x) * pack(y) + bias).to_bytes(n * w, "little")
+    return [int.from_bytes(out[i : i + w], "little") - half for i in range(0, n * w, w)]
 
 
 def check_degree(d):
@@ -428,7 +464,8 @@ def minors(m, q):
     MINOR_CAP of them, or q over DET_CAP, raises RingError.  Each minor is
     a Laplace expansion along its first row, skipping zero entries; a
     memo keyed by (rows, columns) computes each smaller minor once for all
-    the minors of the call that reach it.
+    the minors of the call that reach it, and drops each as the row subsets
+    pass its first row.
     """
     if q < 1:
         raise RingError("minor size must be >= 1")
@@ -457,8 +494,17 @@ def minors(m, q):
             memo[rows, cols] = total
         return memo[rows, cols]
 
-    subsets = itertools.combinations
-    return [minor(r, c) for r in subsets(range(t), q) for c in subsets(range(s), q)]
+    subsets, out = itertools.combinations, []
+    for first in range(t - q + 1):
+        # the minors left read only rows after first: drop the memo's others
+        for key in [key for key in memo if key[0][0] <= first]:
+            del memo[key]
+        out += [
+            minor((first, *r), c)
+            for r in subsets(range(first + 1, t), q - 1)
+            for c in subsets(range(s), q)
+        ]
+    return out
 
 
 def reduce_matrix(m):

@@ -1,13 +1,14 @@
 """Catalog lookups, the presentation file format, and the command line."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import time
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foxcalc.catalog import (
     YOSHIKAWA_KEYS,
@@ -587,8 +588,13 @@ def cli_argvs(draw):
     return [command] + rest
 
 
+# a draw whose Smith elimination multiplies runs some 3,600 terms long
+LONG_RUNS_ARGV = ["table3", "< x, y, z | z^3634 x^-3634 >", "--k=0"]
+
+
 @settings(max_examples=300, deadline=timedelta(seconds=10))
 @given(cli_argvs())
+@example(LONG_RUNS_ARGV)
 def test_cli_fuzz(argv):
     # any command line ends in exit 0, 1 or 2 (3 would be a wrong theorem),
     # with one error line and no traceback when it is not 0
@@ -602,6 +608,18 @@ def test_cli_fuzz(argv):
     assert rc in (0, 1, 2), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert len(errors) == (rc != 0), err.getvalue()
+
+
+def test_cli_long_runs_table_pinned(capsys):
+    # the fuzz draw above: its 181,121-byte table, pinned by its sha256, in
+    # seconds, where schoolbook products took 17 to 25 s
+    start = time.perf_counter()
+    assert main(LONG_RUNS_ARGV) == 0
+    assert time.perf_counter() - start < 10
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 181121
+    want = "59b5dcb2de1ded0094ffeb6d81b057453279e6d926f9f1de3bfd955423db3a62"
+    assert hashlib.sha256(out).hexdigest() == want
 
 
 def test_cli_bad_alpha_exit_1(capsys):

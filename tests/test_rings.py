@@ -214,6 +214,46 @@ def test_run_addmul_matches_term_map_reference(a, q, b, p):
     assert {val + i: c for i, c in enumerate(cs) if c} == _ref_run_addmul(a, q, b, p)
 
 
+@st.composite
+def long_runs(draw):
+    """Runs of 0 to 80 terms, on both sides of KRONECKER_MIN in length and
+    in nonzero terms: dense, sparse or with zero ends, coefficients up to
+    2^64 in size, or reduced mod p as the Smith elimination keeps them."""
+    n = draw(st.integers(0, 80))
+    size = draw(st.sampled_from((1, 9, 2**64)))
+    density = draw(st.sampled_from((0.05, 0.6, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cs = [rng.randint(-size, size) if rng.random() < density else 0 for _ in range(n)]
+    return draw(st.integers(-12, 12)), cs
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_runs(), long_runs(), long_runs(), st.sampled_from((0, 2, 3, 5)), st.booleans())
+def test_run_addmul_long_runs_match_term_map_reference(a, q, b, p, reduced):
+    # the short path, the Kronecker product of two long dense runs, and the
+    # convolution over the sparser of two long runs, each against the reference
+    if reduced and p:
+        a, q, b = ((v, [c % p for c in cs]) for v, cs in (a, q, b))
+    lo, out = run_addmul(a, q, b)
+    assert {lo + i: c for i, c in enumerate(out) if c} == _ref_run_addmul(a, q, b, 0)
+    val, cs = _trimmed(lo, out, p)
+    assert not cs or (cs[0] and cs[-1])
+    assert {val + i: c for i, c in enumerate(cs) if c} == _ref_run_addmul(a, q, b, p)
+
+
+def test_run_addmul_widest_products():
+    # constant runs: the middle coefficient of the product, min(n, m) c d,
+    # meets the Kronecker slot's bound (with c = d = 2 and 32 to 63 terms it
+    # needs all 8 bits of a byte, so the slot needs a second for its sign)
+    for n, m in itertools.product(range(14, 81, 5), (16, 33, 64)):
+        for c, d in ((1, 1), (2, 2), (2, -2), (-9, -9), (2**64, -(2**64)), (2**64 - 1,) * 2):
+            q, b = (0, [c] * n), (-3, [d] * m)
+            lo, out = run_addmul((0, ()), q, b)
+            assert {lo + i: x for i, x in enumerate(out) if x} == _ref_run_addmul(
+                (0, ()), q, b, 0
+            )
+
+
 def test_dense_element_span_over_degree_cap_refused():
     with pytest.raises(RingError, match="polynomial degree 1000001 over DEGREE_CAP = 1000000"):
         RingElement(ZT, {(0,): 1, (10**6 + 1,): 1})
