@@ -15,7 +15,7 @@ from .ideals import ideal_from, ideal_normalize, principal_ideal, render_ideal
 from .maps import MapError, _indexed_group, _rep, cyclic_map, enumerate_epis, hom_classes, twins
 from .rings import RingElement, RingMatrix, RingError, ring_make, minors, reduce_matrix
 from .rings import DEGREE_CAP, _trimmed, check_degree, content_gcd, normalize_sign
-from .smith import by_shape, zp_divisors, zp_elementary, zp_lift
+from .smith import by_shape, zp_elementary, zp_generators
 
 CANON_NODE_CAP = 10**4  # search nodes of least_sorted_rows
 TABLE_ENTRY_CAP = 5 * 10**5  # classes times epimorphisms of a table1 the shape leaves open
@@ -239,7 +239,7 @@ def elementary_ideals(m, ds):
     variable over Z_p, else from the minors of m's E_d-preserving unit-pivot
     reduction."""
     if m.spec.nvars == 1 and m.spec.modulus:
-        gens = zp_elementary(m.spec, lambda: m.zp_divisors, m.declared_rows, m.declared_cols, ds)
+        gens = zp_elementary(lambda: m.zp_generators, m.declared_rows, m.declared_cols, ds)
         return (principal_ideal(m.spec, g) for g in gens)
     m = reduce_matrix(m)
     return (ideal_normalize(minors_ideal(m, d)) for d in ds)
@@ -253,21 +253,18 @@ def elementary_ideal(m, d):
 def _table(spec):
     """(entries, render), one variable over Z_p.  entries(pres, alpha, rho,
     ds): the E_d of a twisted matrix over spec, lazily, as zp_elementary
-    generators, by zp_elementary on the least-span lifts of the Fox walk's
-    cells, on a skeleton built once per alpha, when an E_d first needs the
-    walk.  render(row): a row of generators as table entries, each distinct
-    row and generator rendered once per _table."""
+    generators, by zp_generators on the Fox walk's cells, on a skeleton
+    built once per alpha, when an E_d first needs the walk.  render(row): a
+    row of generators as table entries, each distinct row and generator
+    rendered once per _table."""
     entry = functools.cache(lambda g: render_ideal(principal_ideal(spec, g))[1:-1])
     render = functools.cache(lambda row: tuple(map(entry, row)))
     (_, k), p = spec.variables[0], spec.modulus
     skeleton = functools.cache(_skeleton)
 
     def entries(pres, alpha, rho, ds):
-        def divisors():
-            walk = _fox_rows(skeleton(pres, alpha), rho, p)
-            return zp_divisors(([zp_lift(run, k) for run in row] for row in walk), p)
-
-        return zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds)
+        generators = lambda: zp_generators(_fox_rows(skeleton(pres, alpha), rho, p), k, p)
+        return zp_elementary(generators, rho.n * pres.t, rho.n * pres.s, ds)
 
     return entries, render
 
@@ -417,8 +414,8 @@ def _per_orbit(classes, row, alpha=None):
         r = lent.pop(rho.indexed()[1], None)
         if r is None:
             r = row(rho)
-            for twin, zeta in twins(rho, alpha):
-                lent[twin] = tuple(_at_zeta_t(g, zeta, rho.p) for g in r)
+            for twin, zeta in twins(rho, alpha):  # zeta = 1: a GL-conjugate
+                lent[twin] = r if zeta == 1 else tuple(_at_zeta_t(g, zeta, rho.p) for g in r)
         yield r
 
 

@@ -437,12 +437,12 @@ class RingMatrix:
         return cls(spec, rows, len(rows), ncols)
 
     @functools.cached_property
-    def zp_divisors(self):
-        """smith.zp_divisors of the entries' least-span lifts, one variable
-        over Z_p: one elimination per matrix, on first use."""
-        from .smith import zp_divisors, zp_lift
+    def zp_generators(self):
+        """smith.zp_generators of the entries, one variable over Z_p: one
+        elimination, or one set of ranks, per matrix, on first use."""
+        from .smith import zp_generators
         k, p = self.spec.variables[0][1], self.spec.modulus
-        return zp_divisors([[zp_lift(e.run, k) for e in row] for row in self.entries], p)
+        return zp_generators([[e.run for e in row] for row in self.entries], k, p)
 
 
 def det(spec, rows):

@@ -3,8 +3,10 @@ being runs as in RingElement, added by rings.run_addmul: Smith elimination
 over Z_p[t^±1], Euclidean by span (Cohen, Computational Algebraic Number
 Theory, 2.4), at a finite order on a Laurent lift of the entries, and base
 change of Fitting ideals (Eisenbud, Commutative Algebra, 20.2): at order k,
-E_d is (gcd(Delta_q, t^k - 1)).  Over Z_p itself, one row reduction,
-zp_rref, for finite spans and matrix inverses."""
+E_d is (gcd(Delta_q, t^k - 1)).  At an order k | p - 1 the same base change
+at each root of t^k - 1 reads E_d off the ranks of the matrix at the k
+roots of unity instead, with no elimination.  Over Z_p itself, one row
+reduction, zp_rref, for finite spans, matrix inverses and those ranks."""
 
 from bisect import bisect
 from itertools import product
@@ -144,20 +146,71 @@ def by_shape(nrows, ncols, d):
     return (1,) if q <= 0 else () if q > nrows else None
 
 
-def zp_elementary(spec, divisors, nrows, ncols, ds):
+def zp_generators(rows, k, p):
+    """E_d's monic generator as a function of q = ncols - d >= 1, () for
+    (0), from one computation on the rows of runs mod p of a matrix over
+    Z_p[t]/(t^k - 1), k = 0 for Z_p[t^±1].  Where k | p - 1, t^k - 1 is the
+    product of the t - z, z^k = 1, so Z_p[t]/(t^k - 1) is Z_p^k and, as
+    Fitting ideals commute with base change, t - z divides E_d's generator
+    exactly when the matrix at t = z has rank below q: E_d is the product of
+    those t - z, () if all k qualify, from k ranks by zp_rref.  That route
+    is taken when k is at most the number of cells, which hold at most k
+    terms each once folded, so that its k evaluations and ranks cost a
+    power of the matrix's size, whatever k and the cells' lengths.  Else
+    E_d is Delta_q of zp_divisors on the least-span lifts, () past the
+    rank, folded by zp_fold."""
+    rows = list(rows)
+    if k and not (p - 1) % k and k <= sum(map(len, rows)):
+        cells = [[[((v + i) % k, c) for i, c in enumerate(cs) if c] for v, cs in row] for row in rows]
+        return _by_ranks(cells, k, p)
+    deltas = zp_divisors([[zp_lift(run, k) for run in row] for row in rows], p)
+    return lambda q: zp_fold(deltas[q - 1], k, p) if q <= len(deltas) else ()
+
+
+def _by_ranks(cells, k, p):
+    """zp_generators from the ranks at the k-th roots of unity z^i, z of
+    order k, the cells (exponent mod k, coefficient) pairs."""
+    z, roots = _root_of_unity(k, p), [1] * k
+    for i in range(1, k):
+        roots[i] = roots[i - 1] * z % p
+    ranks = [
+        len(zp_rref([[sum(c * roots[i * e % k] for e, c in cell) for cell in row] for row in cells], p)[1])
+        for i in range(k)
+    ]
+
+    def generator(q):
+        zs = [x for x, r in zip(roots, ranks) if r < q]
+        if len(zs) == k:
+            return ()
+        g = (1,)
+        for x in zs:  # g (t - x)
+            g = tuple((a - x * b) % p for a, b in zip((0, *g), (*g, 0)))
+        return g
+
+    return generator
+
+
+def _root_of_unity(k, p):
+    """An element of order k in Z_p^*, k | p - 1: x^((p-1)/k) for the least
+    x whose power is not 1 at any proper divisor of k."""
+    for x in range(1, p):
+        z = pow(x, (p - 1) // k, p)
+        if all(pow(z, d, p) != 1 for d in range(1, k) if not k % d):
+            return z
+
+
+def zp_elementary(generators, nrows, ncols, ds):
     """E_d, d in ds, lazily and in order, of an nrows x ncols matrix as its
-    monic generator, () for (0); divisors(): the matrix's zp_divisors,
-    called once if some E_d needs them.  With q = ncols - d, E_d is
-    by_shape, or (0) if q exceeds the rank, else (Delta_q) folded by
-    zp_fold at the spec's order."""
-    p, k = spec.modulus, spec.variables[0][1]
-    deltas = None
+    monic generator, () for (0): by_shape, else generators()(ncols - d),
+    generators() the matrix's zp_generators, called once if some E_d
+    needs them."""
+    gen = None
     for d in ds:
         g = by_shape(nrows, ncols, d)
         if g is None:
-            if deltas is None:
-                deltas = divisors()
-            g = zp_fold(deltas[ncols - d - 1], k, p) if ncols - d <= len(deltas) else ()
+            if gen is None:
+                gen = generators()
+            g = gen(ncols - d)
         yield g
 
 

@@ -307,6 +307,18 @@ def test_cli_one_variable_zp_at_large_orders(capsys, argv, limit, want):
         assert rc == 1 and err.startswith("error: ") and want in err, err
 
 
+def test_cli_split_order_of_few_coefficients_answers_at_once(capsys):
+    # 500,001 divides p - 1 = 1,000,002, but the matrix is 1 x 2: E_1 =
+    # (1 + t + t^2) comes from one elimination, not from ranks at 500,001
+    # roots of unity, and its render is refused
+    argv = ["ideal", "< x, y | x^3 y^-3 >", "--alpha", "x=t,y=t@t^500001", "--p", "1000003"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err == "error: finite ideal of 1000003^499999 elements over DISPLAY_SIZE_CAP = 4096\n"
+
+
 def test_cli_long_letters_at_a_large_order(capsys):
     # each letter's 2^31 - 1 terms fill the 10^6 slots of its cell in a few
     # slices: 2,147 whole periods and one run of the 483,647 terms left

@@ -50,7 +50,7 @@ from foxcalc.maps import (
 from foxcalc.presentations import Presentation, Word, parse_presentation
 from foxcalc.rings import RingElement, RingError, RingMatrix, content_gcd, normalize_sign
 from foxcalc.rings import reduce_matrix, ring_make
-from foxcalc.smith import by_shape, zp_divisors, zp_elementary
+from foxcalc.smith import by_shape, zp_divisors, zp_fold, zp_lift
 
 ZT = ring_make(0, (("t", 0),))
 
@@ -424,6 +424,11 @@ def test_shape_decided_handlebody_tables_walk_no_relator(source, monkeypatch):
 
 
 
+def _minors_reference(m, d):
+    """E_d of m rendered, from the minors of its unit-pivot reduction."""
+    return render_ideal(ideal_normalize(minors_ideal(reduce_matrix(m), d)))
+
+
 def test_one_elimination_per_matrix(monkeypatch):
     # E_d asked one d at a time of one matrix costs one Smith elimination;
     # none where the shape decides every d asked; a fresh, equal matrix pays
@@ -452,6 +457,18 @@ def test_one_elimination_per_matrix(monkeypatch):
     assert len(calls) == 1
     assert render_ideal(elementary_ideal(fresh, 8)) == "(1+t)"
     assert len(calls) == 2
+    # at an order k | p - 1 the E_d come from the ranks at the k roots of
+    # unity, taken once per matrix, with no Smith elimination
+    spec, ranks, rref = ring_make(5, (("t", 4),)), [], smith.zp_rref
+    t = spec.monomial((1,))
+    one, two = spec.one(), spec.from_int(2)
+    rows = [(one + t, t * t - one, two), (t * t - one, t * t * t - t, two + two * t)]
+    split = RingMatrix.build(spec, rows)
+    want, eliminations = [_minors_reference(split, d) for d in range(5)], len(calls)
+    monkeypatch.setattr(smith, "zp_rref", lambda rows, p: ranks.append(p) or rref(rows, p))
+    got = [elementary_ideal(split, d) for d in range(5)]
+    assert len(ranks) == 4 and len(calls) == eliminations
+    assert list(map(render_ideal, got)) == want == ["(0)", "(1+t)", "(1)", "(1)", "(1)"]
 
 
 def test_row_render_keeps_parentheses_of_several_generators():
@@ -676,12 +693,20 @@ def gl_fusion_cases(draw):
 
 
 def every_class_generators(pres, alpha, rho, ds):
-    """The ring and the zp_elementary generators of E_d of the twisted matrix
-    of one class, on the Fox walk of that very class, with no row lent."""
-    spec = ring_make(rho.p, alpha.variables)
-    rows = list(_fox_rows(_skeleton(pres, alpha), rho, rho.p))
-    divisors = lambda: zp_divisors(rows, rho.p)
-    return spec, list(zp_elementary(spec, divisors, rho.n * pres.t, rho.n * pres.s, ds))
+    """The ring and the generators of E_d of the twisted matrix of one class,
+    on the Fox walk of that very class, with no row lent: by_shape, else
+    Delta_q of the Smith elimination on the walk's least-span lifts folded
+    by zp_fold, () past the rank, with no rank route at any order."""
+    spec, p, k = ring_make(rho.p, alpha.variables), rho.p, alpha.variables[0][1]
+    walk = _fox_rows(_skeleton(pres, alpha), rho, p)
+    deltas = zp_divisors([[zp_lift(run, k) for run in row] for row in walk], p)
+    nrows, ncols, gens = rho.n * pres.t, rho.n * pres.s, []
+    for d in ds:
+        g, q = by_shape(nrows, ncols, d), ncols - d
+        if g is None:
+            g = zp_fold(deltas[q - 1], k, p) if q <= len(deltas) else ()
+        gens.append(g)
+    return spec, gens
 
 
 def every_class_entries(pres, alpha, rho, ds):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from foxcalc.rings import (
     _trimmed,
 )
 from foxcalc import smith
-from foxcalc.smith import zp_divisors, zp_fold, zp_lift
+from foxcalc.smith import zp_divisors, zp_fold, zp_generators, zp_lift
 
 Z2T = ring_make(2, (("t", 2),))
 ZT = ring_make(0, (("t", 0),))
@@ -615,6 +616,47 @@ def test_zp_lift_and_fold_match_references(p, k, cs, v):
             assert zp_fold(g, k, p) == want
     finally:
         smith.DEGREE_CAP = cap
+
+
+@st.composite
+def split_order_rows(draw):
+    """(p, k, ncols, rows): rows of runs mod p lifting a matrix of up to 4 x 5
+    over Z_p[t]/(t^k - 1), p in {3, 5, 7, 11, 13} and k | p - 1, k = 1
+    included: zero rows, repeated rows, and cells of up to k slots at
+    valuations -2k..2k, as the Fox walk lifts them, dense ones filling
+    every exponent mod k."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    k = draw(st.sampled_from([k for k in range(1, p) if not (p - 1) % k]))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(-2 * k, 2 * k), st.lists(st.integers(0, p - 1), max_size=k))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([(0, ())] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append([_trimmed(*draw(cell), p) for _ in range(ncols)])
+    return p, k, ncols, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_order_rows())
+def test_zp_generators_by_ranks_match_laurent_smith(case):
+    # at k | p - 1 a matrix of at least k cells gets E_d from its ranks at
+    # the k-th roots of unity, with no Smith elimination; the reference is
+    # Delta_q of the least-span lifts folded by zp_fold
+    p, k, ncols, rows = case
+    spec = ring_make(p, (("t", k),))
+    lifts = [[zp_lift(RingElement(spec, run).run, k) for run in row] for row in rows]
+    deltas = zp_divisors(lifts, p)
+    with mock.patch.object(smith, "zp_divisors", wraps=smith.zp_divisors) as divisors:
+        generator = zp_generators(rows, k, p)
+    assert divisors.called == (len(rows) * ncols < k)
+    for q in range(1, ncols + 2):
+        want = zp_fold(deltas[q - 1], k, p) if q <= len(deltas) else ()
+        assert generator(q) == want, q
 
 
 def _outcome(compute):
