@@ -393,10 +393,13 @@ def twins(rep, alpha=None):
     Z_p^* with zeta^n = zeta^k = 1: the m-th roots of unity,
     m = gcd(n, k, p - 1).  None keeps zeta = 1, and so does p = 2, where
     m = 1 and, as over GL, the twist is None.  The twist's power 0 with
-    zeta = 1 is rep itself and is not searched, so at p = 2 nothing is."""
+    zeta = 1 is rep itself and is not searched, so with no twist and m = 1,
+    at p = 2 for one, nothing is built or searched."""
     group, images = rep.indexed()
     p, twist, n = group.p, group.twist, rep.n
     m = gcd(n, alpha.variables[0][1], p - 1) if alpha else 1
+    if not twist and m == 1:
+        return
     zeta = pow(_primitive_root(p), (p - 1) // m, p)
     scalar = group.find(tuple(tuple(zeta * c for c in row) for row in mat_identity(n)))
     exponents = [e for e, in alpha.images] if alpha else [0] * len(images)

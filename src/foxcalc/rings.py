@@ -439,7 +439,7 @@ class RingMatrix:
     @functools.cached_property
     def zp_generators(self):
         """smith.zp_generators of the entries, one variable over Z_p: one
-        elimination, or one set of ranks, per matrix, on first use."""
+        Smith elimination, or one per root of unity, per matrix, on first use."""
         from .smith import zp_generators
         k, p = self.spec.variables[0][1], self.spec.modulus
         return zp_generators([[e.run for e in row] for row in self.entries], k, p)

@@ -3,14 +3,19 @@ being runs as in RingElement, added by rings.run_addmul: Smith elimination
 over Z_p[t^±1], Euclidean by span (Cohen, Computational Algebraic Number
 Theory, 2.4), at a finite order on a Laurent lift of the entries, and base
 change of Fitting ideals (Eisenbud, Commutative Algebra, 20.2): at order k,
-E_d is (gcd(Delta_q, t^k - 1)).  At an order k | p - 1 the same base change
-at each root of t^k - 1 reads E_d off the ranks of the matrix at the k
-roots of unity instead, with no elimination.  Over Z_p itself, one row
-reduction, zp_rref, for finite spans, matrix inverses and those ranks."""
+E_d is (gcd(Delta_q, t^k - 1)).  At an order k = k1 p^e, k1 | p - 1, where
+t^k - 1 splits over Z_p, the same base change at each root z of t^k1 - 1
+reads E_d off one elimination over the chain ring Z_p[u]/(u^(p^e)), u =
+t - z, instead: there an entry of least valuation divides every entry, so
+no Euclidean step is needed (W. C. Brown, Matrices over Commutative Rings,
+1993).  Over Z_p itself, one row reduction, zp_rref, for finite spans and
+matrix inverses."""
 
 from bisect import bisect
+from functools import cache
 from itertools import product
-from operator import sub
+from math import comb
+from operator import mul, sub
 
 from .rings import DEGREE_CAP, _trimmed, check_degree, run_addmul
 
@@ -149,47 +154,98 @@ def by_shape(nrows, ncols, d):
 def zp_generators(rows, k, p):
     """E_d's monic generator as a function of q = ncols - d >= 1, () for
     (0), from one computation on the rows of runs mod p of a matrix over
-    Z_p[t]/(t^k - 1), k = 0 for Z_p[t^±1].  Where k | p - 1, t^k - 1 is the
-    product of the t - z, z^k = 1, so Z_p[t]/(t^k - 1) is Z_p^k and, as
-    Fitting ideals commute with base change, t - z divides E_d's generator
-    exactly when the matrix at t = z has rank below q: E_d is the product of
-    those t - z, () if all k qualify, from k ranks by zp_rref.  That route
-    is taken when k is at most the number of cells, which hold at most k
-    terms each once folded, so that its k evaluations and ranks cost a
-    power of the matrix's size, whatever k and the cells' lengths.  Else
+    Z_p[t]/(t^k - 1), k = 0 for Z_p[t^±1].  Where k = k1 m, m the largest
+    power of p dividing k, and k1 | p - 1, t^k - 1 is the product of the
+    (t - z)^m, z^k1 = 1, so by the CRT Z_p[t]/(t^k - 1) is the product of
+    the chain rings Z_p[u]/(u^m), u = t - z, and, as Fitting ideals commute
+    with base change, E_d is the product of the (t - z)^e, u^e E_d's
+    generator there: e is the least of m and the sum of the q least
+    exponents of the invariant factors at z, by _chain_exponents.  That
+    route is taken when k m is at most the number of cells: a cell holds at
+    most k terms once folded, each mapped to k Taylor coefficients, and a
+    row operation costs m^2 products per cell at each of the k1 roots, so
+    the route's work is at most cells^3 coefficients and cells^2
+    min(nrows, ncols) products, whatever k and the cells' lengths.  Else
     E_d is Delta_q of zp_divisors on the least-span lifts, () past the
     rank, folded by zp_fold."""
     rows = list(rows)
-    if k and not (p - 1) % k and k <= sum(map(len, rows)):
-        cells = [[[((v + i) % k, c) for i, c in enumerate(cs) if c] for v, cs in row] for row in rows]
-        return _by_ranks(cells, k, p)
+    k1, m = k, 1
+    while k1 and not k1 % p:
+        k1, m = k1 // p, m * p
+    if k and not (p - 1) % k1 and k * m <= sum(map(len, rows)):
+        return _by_chain_rings(rows, k1, m, p)
     deltas = zp_divisors([[zp_lift(run, k) for run in row] for row in rows], p)
     return lambda q: zp_fold(deltas[q - 1], k, p) if q <= len(deltas) else ()
 
 
-def _by_ranks(cells, k, p):
-    """zp_generators from the ranks at the k-th roots of unity z^i, z of
-    order k, the cells (exponent mod k, coefficient) pairs."""
-    z, roots = _root_of_unity(k, p), [1] * k
-    for i in range(1, k):
-        roots[i] = roots[i - 1] * z % p
-    ranks = [
-        len(zp_rref([[sum(c * roots[i * e % k] for e, c in cell) for cell in row] for row in cells], p)[1])
-        for i in range(k)
-    ]
+def _by_chain_rings(rows, k1, m, p):
+    """zp_generators at the order k1 m from the invariant factors at each
+    k1-th root of unity x = z^r, z of order k1, each run mapped to its
+    Taylor coefficients at x: that of u^i in (x + u)^e is C(e, i) x^(e - i),
+    and C(e, i) is C(e mod m, i) mod p for i < m (Lucas)."""
+    k, z = k1 * m, _root_of_unity(k1, p)
+    roots, powers, taylor = [pow(z, r, p) for r in range(k1)], {}, {}
+    for run in {run for row in rows for run in row}:  # u^i at z^r in slot r m + i
+        at = [0] * k
+        for e, c in enumerate(run[1], run[0]):
+            if c:
+                e %= k
+                if e not in powers:  # t^e's
+                    powers[e] = [
+                        comb(e % m, i) * roots[r * (e - i) % k1] % p for r in range(k1) for i in range(m)
+                    ]
+                at = [a + c * b for a, b in zip(at, powers[e])]
+        taylor[run] = [a % p for a in at]
+    slots = [list(zip(*[taylor[run] for run in row])) for row in rows]
+    exps = [_chain_exponents([s[r : r + m] for s in slots], m, p) for r in range(0, k, m)]
 
     def generator(q):
-        zs = [x for x, r in zip(roots, ranks) if r < q]
-        if len(zs) == k:
-            return ()
-        g = (1,)
-        for x in zs:  # g (t - x)
-            g = tuple((a - x * b) % p for a, b in zip((0, *g), (*g, 0)))
-        return g
+        g, zero = (1,), True
+        for x, es in zip(roots, exps):
+            e = min(m, sum(es[:q])) if q <= len(es) else m
+            zero = zero and e == m
+            for _ in range(e):  # g (t - x)
+                g = tuple((a - x * b) % p for a, b in zip((0, *g), (*g, 0)))
+        return () if zero else g
 
     return generator
 
 
+def _chain_exponents(a, m, p):
+    """The exponents e, ascending, of the nonzero invariant factors u^e of a
+    matrix over Z_p[u]/(u^m), each row as m lists, the i-th holding the
+    coefficients of u^i of its entries, mod p.  The pivot, an entry u^v w of
+    least valuation v, w a unit, is one whose u^v coefficient is nonzero, v
+    the least i at which some row's i-th list is; it divides every entry.
+    Each other row, f u^v in its column, loses f w^-1 times the pivot's row;
+    then column operations would clear the pivot's row without touching
+    another, so it is dropped, and u^v is the next factor."""
+    out = []
+    a = [row for row in a if any(map(any, row))]
+    while a:
+        v, r = next((i, r) for i in range(m) for r, row in enumerate(a) if any(row[i]))
+        piv = a.pop(r)
+        out.append(v)
+        if not a:
+            break
+        j = next(c for c, x in enumerate(piv[v]) if x)
+        w, n = [piv[i][j] for i in range(v, m)], m - v
+        inv = [pow(w[0], -1, p)]  # w^-1 mod u^n
+        for i in range(1, n):
+            inv.append(-inv[0] * sum(map(mul, w[1 : i + 1], inv[i - 1 :: -1])) % p)
+        for row in a:
+            f = [row[i][j] for i in range(v, m)]
+            if any(f):  # row - q piv, q = f w^-1 mod u^n
+                q = [-sum(map(mul, f[: i + 1], inv[i::-1])) % p for i in range(n)]
+                for i in range(v, m):
+                    for d, c in enumerate(q[: i - v + 1]):
+                        if c:
+                            row[i] = [(x + c * y) % p for x, y in zip(row[i], piv[i - d])]
+        a = [row for row in a if any(map(any, row))]
+    return out
+
+
+@cache
 def _root_of_unity(k, p):
     """An element of order k in Z_p^*, k | p - 1: x^((p-1)/k) for the least
     x whose power is not 1 at any proper divisor of k."""

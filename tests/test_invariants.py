@@ -457,18 +457,28 @@ def test_one_elimination_per_matrix(monkeypatch):
     assert len(calls) == 1
     assert render_ideal(elementary_ideal(fresh, 8)) == "(1+t)"
     assert len(calls) == 2
-    # at an order k | p - 1 the E_d come from the ranks at the k roots of
-    # unity, taken once per matrix, with no Smith elimination
-    spec, ranks, rref = ring_make(5, (("t", 4),)), [], smith.zp_rref
+    # at an order where t^k - 1 splits, the E_d come from one elimination
+    # over Z_p[u]/(u^m) at each k1-th root of unity, k = k1 m, taken once per
+    # matrix, with no Smith elimination: at k = 4 | p - 1, m = 1 and four
+    chains, chain = [], smith._chain_exponents
+    monkeypatch.setattr(smith, "_chain_exponents", lambda a, m, p: chains.append((m, p)) or chain(a, m, p))
+    spec = ring_make(5, (("t", 4),))
     t = spec.monomial((1,))
     one, two = spec.one(), spec.from_int(2)
     rows = [(one + t, t * t - one, two), (t * t - one, t * t * t - t, two + two * t)]
     split = RingMatrix.build(spec, rows)
     want, eliminations = [_minors_reference(split, d) for d in range(5)], len(calls)
-    monkeypatch.setattr(smith, "zp_rref", lambda rows, p: ranks.append(p) or rref(rows, p))
     got = [elementary_ideal(split, d) for d in range(5)]
-    assert len(ranks) == 4 and len(calls) == eliminations
+    assert chains == [(1, 5)] * 4 and len(calls) == eliminations
     assert list(map(render_ideal, got)) == want == ["(0)", "(1+t)", "(1)", "(1)", "(1)"]
+    # at p = 2, k = 2, t^2 - 1 = (t - 1)^2: one elimination over Z_2[u]/(u^2)
+    spec, chains[:] = ring_make(2, (("t", 2),)), []
+    one, u = spec.one(), spec.one() + spec.monomial((1,))
+    split = RingMatrix.build(spec, [(u, spec.zero(), one), (spec.zero(), u, u)])
+    want, eliminations = [_minors_reference(split, d) for d in range(4)], len(calls)
+    got = [elementary_ideal(split, d) for d in range(4)]
+    assert chains == [(2, 2)] and len(calls) == eliminations
+    assert list(map(render_ideal, got)) == want == ["(0)", "(1+t)", "(1)", "(1)"]
 
 
 def test_row_render_keeps_parentheses_of_several_generators():

@@ -645,8 +645,9 @@ def split_order_rows(draw):
 @given(split_order_rows())
 def test_zp_generators_by_ranks_match_laurent_smith(case):
     # at k | p - 1 a matrix of at least k cells gets E_d from its ranks at
-    # the k-th roots of unity, with no Smith elimination; the reference is
-    # Delta_q of the least-span lifts folded by zp_fold
+    # the k-th roots of unity, the chain-ring route at m = 1, with no Smith
+    # elimination; the reference is Delta_q of the least-span lifts folded
+    # by zp_fold
     p, k, ncols, rows = case
     spec = ring_make(p, (("t", k),))
     lifts = [[zp_lift(RingElement(spec, run).run, k) for run in row] for row in rows]
@@ -657,6 +658,61 @@ def test_zp_generators_by_ranks_match_laurent_smith(case):
     for q in range(1, ncols + 2):
         want = zp_fold(deltas[q - 1], k, p) if q <= len(deltas) else ()
         assert generator(q) == want, q
+
+
+@st.composite
+def chain_ring_rows(draw):
+    """(p, k1, m, ncols, rows): rows of runs mod p of a matrix of up to 3 x 4
+    over Z_p[t]/(t^k - 1) at a split order k = k1 m, p in {2, 3, 5, 7},
+    k1 | p - 1 and m in {1, p, p^2}: zero rows, repeated rows, and rows
+    times (t - z)^j, z^k1 = 1 and j in 1..m, so that invariant factors
+    (t - z)^e occur with every e from 0 to m."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k1 = draw(st.sampled_from([d for d in range(1, p) if not (p - 1) % d]))
+    m = draw(st.sampled_from((1, p, p * p)))
+    k = k1 * m
+    roots = [z for z in range(1, p) if pow(z, k1, p) == 1]
+    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    terms = st.dictionaries(st.integers(-k, 2 * k), st.integers(1, p - 1), max_size=3)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("drawn", "zero", "repeat", "times")))
+        if kind == "zero":
+            rows.append([(0, ())] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            row = []
+            for _ in range(ncols):
+                cell = draw(terms)
+                lo = min(cell, default=0)
+                row.append(_trimmed(lo, [cell.get(e, 0) for e in range(lo, max(cell, default=-1) + 1)], p))
+            if kind == "times":  # (t - z)^j = sum of C(j, i) (-z)^(j - i) t^i
+                z, j = draw(st.sampled_from(roots)), draw(st.integers(1, m))
+                factor = (0, tuple(comb(j, i) * pow(-z, j - i, p) for i in range(j + 1)))
+                row = [_trimmed(*run_addmul((0, ()), run, factor), p) for run in row]
+            rows.append(row)
+    return p, k1, m, ncols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_ring_rows())
+def test_chain_ring_route_matches_laurent_smith(case):
+    # at a split order k = k1 m, E_d is read off one elimination over
+    # Z_p[u]/(u^m) at each k1-th root of unity; the reference is Delta_q of
+    # the least-span lifts folded by zp_fold.  zp_generators takes that route
+    # when the matrix has at least k m cells.
+    p, k1, m, ncols, rows = case
+    k, spec = k1 * m, ring_make(p, (("t", k1 * m),))
+    folded = [[RingElement(spec, run).run for run in row] for row in rows]
+    deltas = zp_divisors([[zp_lift(run, k) for run in row] for row in folded], p)
+    generator = smith._by_chain_rings(rows, k1, m, p)
+    for q in range(1, ncols + 2):
+        want = zp_fold(deltas[q - 1], k, p) if q <= len(deltas) else ()
+        assert generator(q) == want, q
+    with mock.patch.object(smith, "zp_divisors", wraps=smith.zp_divisors) as divisors:
+        zp_generators(folded, k, p)
+    assert divisors.called == (len(rows) * ncols < k * m)
 
 
 def _outcome(compute):
