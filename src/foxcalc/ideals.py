@@ -375,7 +375,7 @@ def ideal_contains(ideal, elem):
     if nf is NormalForm.UNIT:
         return True
     if nf is NormalForm.PRINCIPAL:  # g | f, as g(0) != 0 and, at order k, g | t^k - 1
-        return not zp_rem(elem.coeffs, ideal.data[0], ideal.spec.modulus)[1]
+        return not zp_rem(elem.run, ideal.data[0], ideal.spec.modulus)[1]
     if nf is NormalForm.FINITE_SET:
         _, index = _monomial_index(ideal.spec)
         return _in_span(_elem_to_vector(elem, index), *ideal.data, ideal.spec.modulus)

@@ -1,7 +1,9 @@
 """E_d over Z_p[t^±1] and Z_p[t]/(t^k - 1) from invariant factors, entries
 being runs as in RingElement, added by rings.run_addmul: Smith elimination
 over Z_p[t^±1], Euclidean by span (Cohen, Computational Algebraic Number
-Theory, 2.4), at a finite order on a Laurent lift of the entries, and base
+Theory, 2.4), each pivot starting where clearing its column fills least
+(Markowitz, Management Sci. 3, 1957), at a finite order on a Laurent lift
+of the entries, and base
 change of Fitting ideals (Eisenbud, Commutative Algebra, 20.2): at order k,
 E_d is (gcd(Delta_q, t^k - 1)).  At an order k = k1 p^e, k1 | p - 1, where
 t^k - 1 splits over Z_p, the same base change at each root z of t^k1 - 1
@@ -21,29 +23,32 @@ from .rings import DEGREE_CAP, _trimmed, check_degree, run_addmul
 
 
 def _reduce(a, b, p):
-    """(m, r): r = a + m b is a's remainder by b = (0, monic), of lesser span.
-    A b of few terms, such as t^j - 1, is subtracted term by term."""
+    """(m, r): r = a + m b is a's remainder by b = (0, monic), of lesser span."""
     (va, ca), cb = a, b[1]
     n = len(cb) - 1
-    if not n:
-        return (va, tuple(-c for c in ca)), (0, ())
     r, q = list(ca), [0] * (len(ca) - n)
-    terms = [(j, x) for j, x in enumerate(cb) if x] if q else ()
+    terms = [(j, x) for j, x in enumerate(cb[:-1]) if x]
     for i in range(len(q) - 1, -1, -1):
         c = r[i + n] % p
         if c:
             q[i] = -c
-            if 4 * len(terms) <= n:
-                for j, x in terms:
-                    r[i + j] -= c * x
-            else:
-                r[i : i + n + 1] = map(sub, r[i : i + n + 1], map(c.__mul__, cb))
+            for j, x in terms:
+                r[i + j] -= c * x
     return _trimmed(va, q, p), _trimmed(va, r[:n], p)
 
 
-def zp_rem(cs, g, p):
-    """The run of cs mod g over Z_p, cs coefficients from t^0, g monic."""
-    return _reduce((0, cs), (0, g), p)[1]
+def zp_rem(a, g, p):
+    """The run t^v (cs mod g) over Z_p, a = (v, cs), g monic from t^0: cs
+    reduced from the top, one nonzero coefficient at a time, subtracting
+    g's nonzero terms below its leading one, with no quotient kept."""
+    (v, cs), n = a, len(g) - 1
+    r, terms = list(cs), [(j - n, x) for j, x in enumerate(g[:-1]) if x]
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i] % p
+        if c:
+            for j, x in terms:
+                r[i + j] -= c * x
+    return _trimmed(v, r[:n], p)
 
 
 def zp_lift(run, k):
@@ -62,38 +67,74 @@ def zp_lift(run, k):
 
 def zp_divisors(rows, p):
     """Delta_1, ..., Delta_r (r the rank), monic with nonzero constant terms;
-    of a 1 x 2 matrix, Delta_1 is the gcd.  The pivot, of least span, made
-    (0, monic) by a unit c t^v, reduces its column, then its row, to which a
-    row it does not divide is first added: a remainder is a smaller pivot."""
+    of a 1 x n matrix, Delta_1 is the gcd of its entries.  Each pivot starts
+    where clearing its column fills least (Markowitz): at the entry of least
+    span s of the column with the least sum, over its other entries, of
+    span - s + 1, the span of a quotient.  Made (0, monic) by a unit c t^v,
+    it clears its column, then its row, to which a row it does not divide
+    is first added.  A remainder left in the column or the row spans less
+    than the pivot and becomes the pivot, so the pivot's span falls at each
+    move and the moves end; a pivot that divides every entry, its row and
+    column clear, is the next invariant factor, and its row goes.  The last
+    row's factor is the gcd of its entries, folded shortest first up to a
+    unit."""
     a = [list(row) for row in rows if any(cs for _, cs in row)]
     out, delta = [], (1,)
     while a:
-        _, i, j = min((len(c), i, j) for i, b in enumerate(a) for j, (_, c) in enumerate(b) if c)
-        (v, cs), row = a[i][j], a[i]
-        if v or cs[-1] != 1:
-            inv = pow(cs[-1], -1, p)
-            row = a[i] = [(w - v, tuple(c * inv % p for c in e)) for w, e in row]
-        piv, smaller = row[j], False
-        for r, other in enumerate(a):
-            if r != i and other[j][1]:
-                q, rem = _reduce(other[j], piv, p)
-                a[r] = [_trimmed(*run_addmul(x, q, y), p) for x, y in zip(other, row)]
-                smaller = smaller or bool(rem[1])
-        if smaller:
-            continue
-        if len(piv[1]) > 1:  # a unit pivot divides every entry
-            # column j is clear: column operations change row i alone
-            row[:] = [piv if c == j else _reduce(e, piv, p)[1] for c, e in enumerate(row)]
-            if sum(bool(cs) for _, cs in row) > 1:
+        i, g = 0, ()
+        if len(a) == 1:  # the gcd fold
+            for r in sorted((cs for _, cs in a[0] if cs), key=len):
+                while r:
+                    inv = pow(r[-1], -1, p)
+                    g, r = r if inv == 1 else tuple(x * inv % p for x in r), g
+                    r = zp_rem((0, r), g, p)[1]
+                if len(g) == 1:
+                    break
+        else:
+            keys = []
+            for j in range(len(a[0])):
+                col = [(len(b[j][1]), r) for r, b in enumerate(a) if b[j][1]]
+                if col:
+                    s, r = min(col)
+                    keys.append((sum(n - s + 1 for n, _ in col) - 1, s, r, j))
+            *_, i, j = min(keys)
+        while not g:
+            (v, cs), row = a[i][j], a[i]
+            nz = [c for c, e in enumerate(row) if e[1]]
+            if v or cs[-1] != 1:
+                inv = pow(cs[-1], -1, p)
+                for c in nz:
+                    w, e = row[c]
+                    row[c] = w - v, e if inv == 1 else tuple(x * inv % p for x in e)
+            piv = row[j]
+            for other in a:
+                if other is not row and other[j][1]:
+                    q, other[j] = _reduce(other[j], piv, p)
+                    for c in nz:
+                        if c != j:
+                            other[c] = _trimmed(*run_addmul(other[c], q, row[c]), p)
+            col = [(len(b[j][1]), r) for r, b in enumerate(a) if b[j][1]]
+            if len(col) > 1:  # remainders, the least of them the pivot
+                i = min(col)[1]
                 continue
-            bad = next((b for b in a if any(e[1] and _reduce(e, piv, p)[1][1] for e in b)), None)
-            if bad is not None:  # added to row i, leaves its remainders there
-                row[:] = [piv if c == j else _reduce(e, piv, p)[1] for c, e in enumerate(bad)]
-                continue
-            check_degree(len(delta) + len(piv[1]) - 2)  # before the product is built
-            delta = _trimmed(*run_addmul((0, ()), (0, delta), piv), p)[1]
+            if len(piv[1]) > 1:  # a unit pivot divides every entry
+                # column j is clear, so column operations change row i alone: it
+                # keeps its remainders, or those of a row it does not divide added to it
+                for b in (row, *(b for b in a if b is not row)):
+                    rems = [piv if c == j else zp_rem(e, piv[1], p) if e[1] else e for c, e in enumerate(b)]
+                    rest = [(len(cs), c) for c, (_, cs) in enumerate(rems) if cs]
+                    if len(rest) > 1:
+                        row[:] = rems
+                        break
+                if len(rest) > 1:
+                    j = min(rest)[1]
+                    continue
+            g = piv[1]
+        if len(g) > 1:
+            check_degree(len(delta) + len(g) - 2)  # before the product is built
+            delta = _trimmed(*run_addmul((0, ()), (0, delta), (0, g)), p)[1]
         out.append(delta)
-        a = [b[:j] + b[j + 1 :] for r, b in enumerate(a) if r != i and any(cs for _, cs in b)]
+        a = [b for r, b in enumerate(a) if r != i and any(cs for _, cs in b)]
     return out
 
 
@@ -139,7 +180,7 @@ def zp_fold(g, k, p):
         r = (0, (1,))
         for bit in bin(k)[2:]:  # r = t^(the leading bits of k) mod g
             v, cs = run_addmul((0, ()), r, r)
-            r = zp_rem((0,) * (v + (bit == "1")) + tuple(cs), g, p)
+            r = zp_rem((0, (0,) * (v + (bit == "1")) + tuple(cs)), g, p)
         r = _trimmed(*run_addmul(r, (0, (-1,)), (0, (1,))), p)
     (h,) = zp_divisors([[(0, g), r]], p)
     return () if len(h) > k else h
@@ -289,4 +330,4 @@ def zp_code_search(g, k, p):
 
     elems = sorted(filter(any, product(range(p), repeat=n)), key=key)
     span = lambda fs: zp_divisors([[_trimmed(0, f, p) for f in (rc[::-1], *fs)]], p)[0]
-    return elems, span, lambda f, h: not zp_rem(f, h, p)[1], (1,)
+    return elems, span, lambda f, h: not zp_rem((0, f), h, p)[1], (1,)

@@ -481,6 +481,33 @@ def test_one_elimination_per_matrix(monkeypatch):
     assert list(map(render_ideal, got)) == want == ["(0)", "(1+t)", "(1)", "(1)"]
 
 
+def test_theorem37_elimination_forms_runs_linear_in_the_matrix(monkeypatch):
+    # work, not time: the 2 x 802 matrix of Theorem 3.7 at n = 401 holds a
+    # unit t^-400 whose column partner spans 400; a pivot there would
+    # multiply that partner into all 802 entries of the other row and form
+    # some n^2 coefficients, where the pivot that fills least forms about
+    # as many as the matrix holds
+    from foxcalc import smith
+
+    formed = []
+
+    def recorded(f):
+        def wrapper(*args):
+            out = f(*args)
+            formed.append(len(out[1]))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(smith, "run_addmul", recorded(smith.run_addmul))
+    monkeypatch.setattr(smith, "zp_rem", recorded(smith.zp_rem))
+    pres = theta_presentation(401)
+    m = twisted_matrix(pres, theta_alpha(pres, 401), lemma36_rho(pres, 401))
+    rows = [[e.run for e in row] for row in m.entries]
+    assert smith.zp_divisors(rows, 2) == [(1,), (1, 1)]
+    assert sum(formed) <= 3 * sum(len(cs) for row in rows for _, cs in row)
+
+
 def test_row_render_keeps_parentheses_of_several_generators():
     table = InvariantTable(
         TableKind.ROW_FORM, ((("0", "1+t+t^2", "1+2t,1+t", "1"), 1),), 0

@@ -585,6 +585,61 @@ def test_zp_divisors_of_a_diagonal_needing_the_fold():
     assert zp_divisors([[(0, ()), (0, ())], [(5, ()), (0, ())]], 2) == []
 
 
+def _ref_divisors(rows, p):
+    """Delta_1, ..., Delta_r of a matrix of runs, each the monic gcd over
+    GF(p), taken by sympy, of its q x q minors by rings.minors over
+    Z_p[t^±1], cut to a nonzero constant term; the first zero one ends the
+    list, at the rank."""
+    import sympy
+
+    t, spec = sympy.Symbol("t"), ring_make(p, (("t", 0),))
+    m = RingMatrix.build(spec, [[RingElement(spec, run) for run in row] for row in rows])
+    out = []
+    for q in range(1, min(len(rows), len(rows[0])) + 1):
+        g = sympy.Poly(0, t, modulus=p)
+        for minor in minors(m, q):
+            g = g.gcd(sympy.Poly(minor.coeffs[::-1] or [0], t, modulus=p))
+        if g.is_zero:
+            break
+        out.append(_trimmed(0, [int(c) for c in g.monic().all_coeffs()[::-1]], p)[1])
+    return out
+
+
+@st.composite
+def smith_matrices(draw):
+    """(p, rows of runs): up to 4 x 6 over Z_p, with zero rows and columns,
+    repeated rows, and a unit in a column whose other entries span up to
+    40, the shape on which clearing the unit's column fills most."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    coeffs = st.integers(0, p - 1)
+    short = st.tuples(st.integers(-3, 3), st.lists(coeffs, max_size=4))
+    rows = [[draw(short) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [(0, ())] * ncols
+    if draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = (0, ())
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = list(rows[draw(st.integers(0, nrows - 1))])
+    if draw(st.booleans()):
+        c, r = draw(st.integers(0, ncols - 1)), draw(st.integers(0, nrows - 1))
+        long = st.tuples(st.integers(-40, 0), st.lists(coeffs, min_size=1, max_size=41))
+        for i, row in enumerate(rows):
+            row[c] = (draw(st.integers(-3, 3)), (draw(st.integers(1, p - 1)),)) if i == r else draw(long)
+    return p, [[_trimmed(*run, p) for run in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(smith_matrices())
+def test_zp_divisors_match_determinantal_divisors(case):
+    # the elimination's Delta_q against the gcds of the q x q minors, with
+    # no zp_divisors on the reference's side: not by poly_gcd, which calls it
+    p, rows = case
+    assert zp_divisors(rows, p) == _ref_divisors(rows, p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from((2, 3, 5, 7)),
